@@ -75,7 +75,7 @@ int main() {
   const auto run_fp = [&](const std::string& name, quant::FpPolicyConfig cfg) {
     quant::FpPolicy policy(cfg);
     const RunResult r = run_training_policy(base_task, &policy,
-                                            [&policy](nn::Sequential&) { policy.activate(); });
+                                            [&policy](nn::Module&) { policy.activate(); });
     results.push_back({name, r.best_test_acc, r.final_test_acc});
     std::printf("  %-44s best %.2f%%  final %.2f%%\n", name.c_str(), 100.0 * r.best_test_acc,
                 100.0 * r.final_test_acc);

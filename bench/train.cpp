@@ -6,8 +6,10 @@
 //
 // Before any timing, each net's determinism contract is bit-checked:
 // a single-shard Trainer step must leave parameters bit-identical to the
-// manual eager loop, and 1/2/4-worker Trainers at a fixed micro-batch must
-// train bit-identical parameters. A violation is always a real failure.
+// manual eager loop — in FP32 and, across the warm-up flip, under the
+// paper's posit policy (QuantPolicy cifar8) — and 1/2/4-worker Trainers at
+// a fixed micro-batch must train bit-identical parameters. A violation is
+// always a real failure.
 //
 // Usage:
 //   bench_train [out.json]
@@ -31,6 +33,7 @@
 #include "bench_util.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/resnet.hpp"
+#include "quant/policy.hpp"
 #include "tensor/ops.hpp"
 #include "train/trainer.hpp"
 
@@ -90,26 +93,44 @@ float eager_step(pdnn::nn::Sequential& net, pdnn::nn::SgdMomentum& opt, const Te
 }
 
 /// Determinism contract for one workload: single-shard plan step bit-matches
-/// the eager loop, and worker count never changes the trained bits.
+/// the eager loop (FP32 and posit policy), and worker count never changes
+/// the trained bits.
 bool check_bit_identity(const Workload& w, const pdnn::nn::SgdConfig& sgd) {
-  auto eager_net = w.make();
-  auto plan_net = w.make();
-  pdnn::nn::SgdMomentum opt(eager_net->params(), sgd);
+  // Three single-shard steps per side. With a posit policy (each side owns
+  // one: same config, same net) step 0 is the FP32 warm-up and the
+  // calibrate + activate flip precedes step 1.
+  const auto single_shard_matches = [&](bool posit) {
+    auto eager_net = w.make();
+    auto plan_net = w.make();
+    pdnn::quant::QuantPolicy eager_policy(pdnn::quant::QuantConfig::cifar8());
+    pdnn::quant::QuantPolicy plan_policy(pdnn::quant::QuantConfig::cifar8());
+    if (posit) eager_net->set_policy(&eager_policy);
+    pdnn::nn::SgdMomentum opt(eager_net->params(), sgd, posit ? &eager_policy : nullptr);
 
-  pdnn::train::TrainerConfig cfg;
-  cfg.batch_size = w.bx.shape()[0];
-  cfg.workers = 1;
-  cfg.sgd = sgd;
-  pdnn::train::Trainer trainer(*plan_net, cfg);
-  for (int s = 0; s < 2; ++s) {
-    eager_step(*eager_net, opt, w.bx, w.by);
-    trainer.step(w.bx, w.by);
-    if (!params_bit_identical(*eager_net, *plan_net)) {
-      std::cerr << "FAIL: " << w.name << " single-shard plan step " << s
-                << " diverged from the eager loop\n";
-      return false;
+    pdnn::train::TrainerConfig cfg;
+    cfg.batch_size = w.bx.shape()[0];
+    cfg.workers = 1;
+    cfg.sgd = sgd;
+    if (posit) cfg.policy = &plan_policy;
+    pdnn::train::Trainer trainer(*plan_net, cfg);
+    for (int s = 0; s < 3; ++s) {
+      if (posit && s == 1) {
+        eager_policy.calibrate(*eager_net);
+        eager_policy.activate();
+        plan_policy.calibrate(*plan_net);
+        plan_policy.activate();
+      }
+      eager_step(*eager_net, opt, w.bx, w.by);
+      trainer.step(w.bx, w.by);
+      if (!params_bit_identical(*eager_net, *plan_net)) {
+        std::cerr << "FAIL: " << w.name << (posit ? " posit-policy" : "")
+                  << " single-shard plan step " << s << " diverged from the eager loop\n";
+        return false;
+      }
     }
-  }
+    return true;
+  };
+  if (!single_shard_matches(false) || !single_shard_matches(true)) return false;
 
   auto n1 = w.make();
   auto n2 = w.make();

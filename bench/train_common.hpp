@@ -9,8 +9,8 @@
 
 #include "data/synthetic.hpp"
 #include "nn/resnet.hpp"
-#include "nn/trainer.hpp"
 #include "quant/policy.hpp"
+#include "train/trainer.hpp"
 
 namespace bench {
 
@@ -19,7 +19,7 @@ using namespace pdnn;
 struct TaskConfig {
   data::SynthCifarConfig data;
   nn::ResNetConfig net;
-  nn::TrainConfig train;
+  train::TrainerConfig train;
 };
 
 /// The synth-Cifar-10 task: 10 classes, 16x16, ResNet-8 (paper: Cifar-10,
@@ -76,27 +76,28 @@ inline TaskConfig synth_imagenet_proxy_task(std::size_t epochs = 12) {
 struct RunResult {
   float best_test_acc = 0.0f;
   float final_test_acc = 0.0f;
-  std::vector<nn::EpochResult> history;
+  std::vector<train::EpochResult> history;
 };
 
 /// Trains one network on the task. If `quant_cfg` is non-null, runs the
 /// paper's flow: FP32 warm-up, then posit quantization at every Fig. 3 hook.
 inline RunResult run_training(const TaskConfig& task, const quant::QuantConfig* quant_cfg,
                               std::uint64_t seed = 7, bool verbose = false,
-                              const std::function<void(std::size_t, nn::Sequential&)>& epoch_hook = {}) {
+                              const std::function<void(std::size_t, nn::Module&)>& epoch_hook = {}) {
   tensor::Rng rng(seed);
   auto net = nn::cifar_resnet(task.net, rng);
   const auto data = data::make_synth_cifar(task.data);
 
   std::unique_ptr<quant::QuantPolicy> policy;
-  nn::TrainConfig tc = task.train;
+  train::TrainerConfig tc = task.train;
   tc.shuffle_seed = seed;
   tc.verbose = verbose;
   tc.on_epoch_end = epoch_hook;
   if (quant_cfg != nullptr) {
     policy = std::make_unique<quant::QuantPolicy>(*quant_cfg);
     quant::QuantPolicy* raw = policy.get();
-    tc.on_warmup_end = [raw](nn::Sequential& n) {
+    tc.policy = raw;
+    tc.on_warmup_end = [raw](nn::Module& n) {
       raw->calibrate(n);
       raw->activate();
     };
@@ -104,7 +105,7 @@ inline RunResult run_training(const TaskConfig& task, const quant::QuantConfig* 
     tc.warmup_epochs = 0;  // pure FP32 baseline
   }
 
-  nn::Trainer trainer(*net, policy.get(), tc);
+  train::Trainer trainer(*net, tc);
   RunResult r;
   r.history = trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
   for (const auto& e : r.history) r.best_test_acc = std::max(r.best_test_acc, e.test_acc);
@@ -115,16 +116,17 @@ inline RunResult run_training(const TaskConfig& task, const quant::QuantConfig* 
 /// Variant taking an arbitrary PrecisionPolicy (e.g. quant::FpPolicy for the
 /// FP16/FP8 baselines). `on_warmup` should activate/calibrate the policy.
 inline RunResult run_training_policy(const TaskConfig& task, nn::PrecisionPolicy* policy,
-                                     const std::function<void(nn::Sequential&)>& on_warmup,
+                                     const std::function<void(nn::Module&)>& on_warmup,
                                      std::uint64_t seed = 7) {
   tensor::Rng rng(seed);
   auto net = nn::cifar_resnet(task.net, rng);
   const auto data = data::make_synth_cifar(task.data);
 
-  nn::TrainConfig tc = task.train;
+  train::TrainerConfig tc = task.train;
   tc.shuffle_seed = seed;
+  tc.policy = policy;
   tc.on_warmup_end = on_warmup;
-  nn::Trainer trainer(*net, policy, tc);
+  train::Trainer trainer(*net, tc);
   RunResult r;
   r.history = trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
   for (const auto& e : r.history) r.best_test_acc = std::max(r.best_test_acc, e.test_acc);

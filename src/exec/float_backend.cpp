@@ -21,6 +21,18 @@ using tensor::Tensor;
 // expressions are copied verbatim. Parallel axes are independent output
 // slices, so thread count never changes a bit (same policy as src/nn).
 
+namespace {
+
+/// The ops whose eager modules call the Fig. 3 hooks: conv, linear and BN
+/// layers, and the residual block around its join. ReLU and pooling apply
+/// none.
+bool has_precision_hooks(OpKind op) {
+  return op == OpKind::kLinear || op == OpKind::kConv2d || op == OpKind::kBatchNorm ||
+         op == OpKind::kResidualJoin;
+}
+
+}  // namespace
+
 FloatBackend FloatBackend::compile(nn::Module& net, nn::PrecisionPolicy* policy,
                                    PlanOptions opts) {
   if (policy != nullptr) {
@@ -44,15 +56,16 @@ FloatBackend FloatBackend::compile(nn::Module& net, nn::PrecisionPolicy* policy,
 }
 
 std::unique_ptr<Backend> FloatBackend::clone() const {
-  if (plan_.training()) return std::make_unique<FloatBackend>(compile_training(*net_));
+  if (plan_.training()) return std::make_unique<FloatBackend>(compile_training(*net_, policy_));
   return std::make_unique<FloatBackend>(compile(*net_, policy_, opts_));
 }
 
-FloatBackend FloatBackend::compile_training(nn::Module& net) {
+FloatBackend FloatBackend::compile_training(nn::Module& net, nn::PrecisionPolicy* policy) {
   FloatBackend b;
   b.opts_ = PlanOptions::none();
   b.plan_ = GraphBuilder::lower_training(net);
   b.net_ = &net;
+  b.policy_ = policy;
   b.state_.resize(b.plan_.steps.size());
   b.tstate_.resize(b.plan_.steps.size());
   b.arena_.configure(b.plan_.num_buffers);
@@ -121,6 +134,9 @@ void FloatBackend::refresh() {
   const bool force = quant != panels_quantized_ || force_refresh_;
   panels_quantized_ = quant;
   force_refresh_ = false;
+  if (force) {
+    for (TrainState& ts : tstate_) ts.wt_bound = false;
+  }
   for (std::size_t i = 0; i < plan_.steps.size(); ++i) {
     const Step& s = plan_.steps[i];
     StepState& st = state_[i];
@@ -129,8 +145,10 @@ void FloatBackend::refresh() {
         nn::Param& w = s.linear->weight();
         if (force || !st.bound || w.version != st.version) {
           if (quant) {
-            st.panel = tensor::transpose(
-                policy_->quantize_weight(w.value, s.name, nn::LayerClass::kLinear));
+            // P(W) in module layout feeds the backward dX GEMM; its transpose
+            // is the forward panel.
+            st.qweight = policy_->quantize_weight(w.value, s.name, nn::LayerClass::kLinear);
+            st.panel = tensor::transpose(st.qweight);
           } else {
             // Grow-only resize + transpose_into: weight updates between
             // training steps re-derive the panel without reallocating.
@@ -162,12 +180,12 @@ void FloatBackend::refresh() {
           }
         } else if (quant) {
           if (force || !st.bound || w.version != st.version) {
-            st.panel = policy_->quantize_weight(w.value, s.name, nn::LayerClass::kConv);
+            st.qweight = policy_->quantize_weight(w.value, s.name, nn::LayerClass::kConv);
             st.version = w.version;
             st.bound = true;
           }
         } else if (force || !st.bound) {
-          st.panel = Tensor();  // read the live weight directly
+          st.qweight = Tensor();  // read the live weight directly
           st.version = w.version;
           st.bound = true;
         }
@@ -177,12 +195,12 @@ void FloatBackend::refresh() {
         nn::Param& g = s.bn->gamma();
         if (quant) {
           if (force || !st.bound || g.version != st.gamma_version) {
-            st.qgamma = policy_->quantize_weight(g.value, s.name, nn::LayerClass::kBn);
+            st.qweight = policy_->quantize_weight(g.value, s.name, nn::LayerClass::kBn);
             st.gamma_version = g.version;
             st.bound = true;
           }
         } else if (force || !st.bound) {
-          st.qgamma = Tensor();
+          st.qweight = Tensor();
           st.gamma_version = g.version;
           st.bound = true;
         }
@@ -249,22 +267,16 @@ const Tensor& FloatBackend::run_impl(const Tensor& x) {
       case OpKind::kGlobalAvgPool: exec_gap(in, out); break;
       case OpKind::kResidualJoin: exec_join(in, *skip, out); break;
     }
-    if (quant) {
-      // The eager forward's A_p = P(A) hook sites: conv/linear/bn outputs and
-      // the post-join activation; ReLU and pooling apply no hook.
-      switch (s.op) {
-        case OpKind::kLinear: policy_->quantize_activation(out, s.name, nn::LayerClass::kLinear); break;
-        case OpKind::kConv2d: policy_->quantize_activation(out, s.name, nn::LayerClass::kConv); break;
-        case OpKind::kBatchNorm: policy_->quantize_activation(out, s.name, nn::LayerClass::kBn); break;
-        case OpKind::kResidualJoin:
-          policy_->quantize_activation(out, s.name, nn::LayerClass::kConv);
-          break;
-        default: break;
-      }
-    }
+    if (quant) quantize_output(s, out);
   }
   return arena_.at(static_cast<std::size_t>(
       plan_.slots[static_cast<std::size_t>(plan_.output_slot)].buffer));
+}
+
+void FloatBackend::quantize_output(const Step& s, Tensor& out) {
+  // The lowering gives each step its module's name and class (the join
+  // takes the block's name and the conv class, like ResidualBlock::forward).
+  if (has_precision_hooks(s.op)) policy_->quantize_activation(out, s.name, s.cls);
 }
 
 void FloatBackend::exec_linear(const Step& s, StepState& st, const Tensor& in, Tensor& out) {
@@ -296,7 +308,7 @@ void FloatBackend::exec_conv(const Step& s, StepState& st, const Tensor& in, Ten
   const std::size_t patch = geom.patch();
   const bool folded = s.folded_bn != nullptr;
   const float* w2d = folded             ? st.fw.data()
-                     : quantizing()     ? st.panel.data()
+                     : quantizing()     ? st.qweight.data()
                                         : s.conv->weight().value.data();
   tensor::GemmEpilogue ep;
   ep.row_bias = folded             ? st.fb.data()
@@ -327,7 +339,7 @@ void FloatBackend::exec_bn(const Step& s, const StepState& st, const Tensor& in,
   nn::BatchNorm2d& bn = *s.bn;
   const std::size_t n = in.shape()[0], c = in.shape()[1];
   const std::size_t plane = in.shape()[2] * in.shape()[3];
-  const float* gamma = quantizing() ? st.qgamma.data() : bn.gamma().value.data();
+  const float* gamma = quantizing() ? st.qweight.data() : bn.gamma().value.data();
   const bool relu = s.epilogue.relu;
 #pragma omp parallel for schedule(static) if (c > 1 && n * plane > 4096)
   for (std::size_t ci = 0; ci < c; ++ci) {
@@ -386,11 +398,8 @@ void FloatBackend::exec_join(const Tensor& main, const Tensor& skip, Tensor& out
 const Tensor& FloatBackend::train_forward(const Tensor& x) {
   require_training("train_forward");
   bump_generation();
-  const bool force = force_refresh_;
   refresh();
-  if (force) {
-    for (TrainState& ts : tstate_) ts.wt_bound = false;
-  }
+  const bool quant = quantizing();
   for (std::size_t i = 0; i < plan_.steps.size(); ++i) {
     const Step& s = plan_.steps[i];
     StepState& st = state_[i];
@@ -407,7 +416,7 @@ const Tensor& FloatBackend::train_forward(const Tensor& x) {
       case OpKind::kConv2d: exec_conv(s, st, in, out); break;
       case OpKind::kBatchNorm: {
         Tensor& xhat = bind_slot(s.save, in.shape());
-        exec_bn_train(s, ts, in, out, xhat);
+        exec_bn_train(s, st, ts, in, out, xhat);
         break;
       }
       case OpKind::kRelu: exec_relu_train(ts, in, out); break;
@@ -415,6 +424,7 @@ const Tensor& FloatBackend::train_forward(const Tensor& x) {
       case OpKind::kGlobalAvgPool: exec_gap(in, out); break;
       case OpKind::kResidualJoin: exec_join_train(ts, in, *skip, out); break;
     }
+    if (quant) quantize_output(s, out);
   }
   const Tensor& out = slot_tensor(plan_.output_slot, x);
   train_out_shape_ = out.shape();
@@ -423,10 +433,11 @@ const Tensor& FloatBackend::train_forward(const Tensor& x) {
   return out;
 }
 
-void FloatBackend::exec_bn_train(const Step& s, TrainState& ts, const Tensor& in, Tensor& out,
-                                 Tensor& xhat) {
+void FloatBackend::exec_bn_train(const Step& s, const StepState& st, TrainState& ts,
+                                 const Tensor& in, Tensor& out, Tensor& xhat) {
   // nn::BatchNorm2d::forward with training=true, minus the running-stat EMA
-  // (batch stats land in bn_stats_; the trainer commits them serially).
+  // (batch stats land in bn_stats_; the trainer commits them serially). The
+  // normalization scales by P(gamma) under a policy, as eager does.
   nn::BatchNorm2d& bn = *s.bn;
   const std::size_t n = in.shape()[0], c = in.shape()[1];
   const std::size_t plane = in.shape()[2] * in.shape()[3];
@@ -435,7 +446,7 @@ void FloatBackend::exec_bn_train(const Step& s, TrainState& ts, const Tensor& in
   BnBatchStats& stats = bn_stats_[static_cast<std::size_t>(ts.bn_stats)];
   stats.mean.assign(c, 0.0f);
   stats.var.assign(c, 0.0f);
-  const float* gamma = bn.gamma().value.data();
+  const float* gamma = quantizing() ? st.qweight.data() : bn.gamma().value.data();
   const float* beta = bn.beta().value.data();
 #pragma omp parallel for schedule(static) if (c > 1 && n * plane > 4096)
   for (std::size_t ci = 0; ci < c; ++ci) {
@@ -561,20 +572,32 @@ const Tensor& FloatBackend::run_backward(const Tensor& grad_out) {
                                 train_out_shape_.to_string());
   }
   bump_generation();
+  const bool quant = quantizing();
   for (const GradStep& g : plan_.grad_steps) {
     const Step& s = plan_.steps[static_cast<std::size_t>(g.fwd_step)];
+    const StepState& st = state_[static_cast<std::size_t>(g.fwd_step)];
     TrainState& ts = tstate_[static_cast<std::size_t>(g.fwd_step)];
-    const Tensor& e = g.gin == plan_.grad_output_slot
-                          ? grad_out
-                          : arena_.at(static_cast<std::size_t>(
-                                plan_.slots[static_cast<std::size_t>(g.gin)].buffer));
+    const Tensor* err = g.gin == plan_.grad_output_slot
+                            ? &grad_out
+                            : &arena_.at(static_cast<std::size_t>(
+                                  plan_.slots[static_cast<std::size_t>(g.gin)].buffer));
+    const bool hooked = quant && has_precision_hooks(s.op);
+    if (hooked) {
+      // E_p = P(E) on a copy: the incoming error may be the caller's const
+      // grad_out.
+      qerr_.resize(err->shape());
+      std::memcpy(qerr_.data(), err->data(), err->numel() * sizeof(float));
+      policy_->quantize_error(qerr_, s.name, s.cls);
+      err = &qerr_;
+    }
+    const Tensor& e = *err;
     Tensor& gout0 = bind_slot(g.gout0, ts.in_shape);
     switch (s.op) {
       case OpKind::kLinear:
-        exec_linear_grad(s, ts, e, slot_tensor(s.in0, *train_input_), gout0, g.acc0);
+        exec_linear_grad(s, st, ts, e, slot_tensor(s.in0, *train_input_), gout0, g.acc0);
         break;
       case OpKind::kConv2d:
-        exec_conv_grad(s, ts, e, slot_tensor(s.in0, *train_input_), gout0, g.acc0);
+        exec_conv_grad(s, st, ts, e, slot_tensor(s.in0, *train_input_), gout0, g.acc0);
         break;
       case OpKind::kBatchNorm: {
         const Tensor& xhat = arena_.at(
@@ -591,15 +614,25 @@ const Tensor& FloatBackend::run_backward(const Tensor& grad_out) {
         break;
       }
     }
+    if (hooked) {
+      // dW_p = P(dW) on the accumulators this step wrote, weight first.
+      if (ts.wgrad >= 0) {
+        policy_->quantize_gradient(grads_[static_cast<std::size_t>(ts.wgrad)], s.name, s.cls);
+      }
+      if (ts.bgrad >= 0) {
+        policy_->quantize_gradient(grads_[static_cast<std::size_t>(ts.bgrad)], s.name, s.cls);
+      }
+    }
   }
   return arena_.at(static_cast<std::size_t>(
       plan_.slots[static_cast<std::size_t>(plan_.grad_input_slot)].buffer));
 }
 
-void FloatBackend::exec_linear_grad(const Step& s, TrainState& ts, const Tensor& e,
-                                    const Tensor& in, Tensor& gout, bool acc) {
+void FloatBackend::exec_linear_grad(const Step& s, const StepState& st, TrainState& ts,
+                                    const Tensor& e, const Tensor& in, Tensor& gout, bool acc) {
   // nn::Linear::backward: dW = dY^T X, db = colsum(dY), dX = dY W — the same
-  // blocked GEMMs matmul makes, staged through persistent scratch.
+  // blocked GEMMs matmul makes, staged through persistent scratch. dX reads
+  // P(W) under a policy, the weight the forward used.
   const std::size_t n = e.shape()[0];
   ts.e_t.resize({s.out_c, n});
   tensor::transpose_into(e.data(), n, s.out_c, ts.e_t.data());
@@ -618,8 +651,8 @@ void FloatBackend::exec_linear_grad(const Step& s, TrainState& ts, const Tensor&
   if (acc) ts.dx_scratch.resize(gout.shape());
   Tensor& target = acc ? ts.dx_scratch : gout;
   target.fill(0.0f);
-  tensor::gemm_blocked(n, s.in_c, s.out_c, e.data(), s.out_c, s.linear->weight().value.data(),
-                       s.in_c, target.data(), s.in_c);
+  const float* w = quantizing() ? st.qweight.data() : s.linear->weight().value.data();
+  tensor::gemm_blocked(n, s.in_c, s.out_c, e.data(), s.out_c, w, s.in_c, target.data(), s.in_c);
   if (acc) {
     float* d = gout.data();
     const float* v = ts.dx_scratch.data();
@@ -627,13 +660,14 @@ void FloatBackend::exec_linear_grad(const Step& s, TrainState& ts, const Tensor&
   }
 }
 
-void FloatBackend::exec_conv_grad(const Step& s, TrainState& ts, const Tensor& e, const Tensor& in,
-                                  Tensor& gout, bool acc) {
+void FloatBackend::exec_conv_grad(const Step& s, const StepState& st, TrainState& ts,
+                                  const Tensor& e, const Tensor& in, Tensor& gout, bool acc) {
   // nn::Conv2d::backward + tensor::conv2d_backward: per-channel bias
   // reduction, then the serial per-sample im2col / dW GEMM / dX col2im loop —
   // dW accumulates straight into the backend-owned grad (same layout and
   // bits as eager's reshaped-copy-and-write-back), W^T is a panel cached per
-  // Param::version (a transpose moves data, it computes nothing).
+  // Param::version (a transpose moves data, it computes nothing) — of P(W)
+  // under a policy, the weight the forward used.
   const tensor::Conv2dGeom geom{s.in_c,   ts.in_shape[2], ts.in_shape[3], s.out_c,
                                 s.kernel, s.stride,       s.pad,          s.kernel_w};
   const std::size_t batch = ts.in_shape[0];
@@ -654,7 +688,8 @@ void FloatBackend::exec_conv_grad(const Step& s, TrainState& ts, const Tensor& e
   nn::Param& w = s.conv->weight();
   if (!ts.wt_bound || ts.wt_version != w.version) {
     ts.w2d_t.resize({patch, s.out_c});
-    tensor::transpose_into(w.value.data(), s.out_c, patch, ts.w2d_t.data());
+    const float* src = quantizing() ? st.qweight.data() : w.value.data();
+    tensor::transpose_into(src, s.out_c, patch, ts.w2d_t.data());
     ts.wt_version = w.version;
     ts.wt_bound = true;
   }

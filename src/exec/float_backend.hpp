@@ -35,6 +35,19 @@
 // them (BatchNorm2d::update_running_stats), keeping clones side-effect-free.
 // run() still works on a training backend and is the eval-mode forward.
 // Steady state (repeated shapes, no weight mutation) allocates nothing.
+//
+// A training backend compiled with a policy fires the Fig. 3 hooks at the
+// eager layers' sites, in each layer's eager order: the forward reads the
+// P(W)/P(gamma) panels and applies A_p = P(A) after every linear, conv, BN
+// and residual-join step; the backward applies E_p = P(E) to a copy of each
+// such step's incoming error, computes dX from P(W), and applies
+// dW_p = P(dW) to the backend-owned grads the step wrote. The policy is
+// shared, not cloned — its hooks are not thread-safe, so only one backend
+// per policy may run at a time. Deterministic rounding keeps the plan
+// bit-identical to the eager chain. Stochastic rounding does not: its
+// random draws come in a different order and number (P(W) panels are
+// cached per weight version and refresh before the forward; grad steps run
+// in plan order).
 #pragma once
 
 #include <cstdint>
@@ -60,10 +73,11 @@ class FloatBackend final : public Backend {
   static FloatBackend compile(nn::Module& net, nn::PrecisionPolicy* policy = nullptr,
                               PlanOptions opts = PlanOptions::defaults());
 
-  /// Compile a training backend (see "Training mode" above). No policy and
-  /// no fusion passes: the Fig. 3 hooks and the fused epilogues both
-  /// conflict with the saved activations and masks backward needs.
-  static FloatBackend compile_training(nn::Module& net);
+  /// Compile a training backend (see "Training mode" above). No fusion
+  /// passes: the fused epilogues conflict with the saved activations and
+  /// masks backward needs. A non-null `policy` (not owned) fires the
+  /// Fig. 3 hooks in both passes whenever it is active.
+  static FloatBackend compile_training(nn::Module& net, nn::PrecisionPolicy* policy = nullptr);
 
   FloatBackend(FloatBackend&&) noexcept = default;
   FloatBackend& operator=(FloatBackend&&) noexcept = default;
@@ -133,10 +147,10 @@ class FloatBackend final : public Backend {
 
   /// Per-step backend state: weight-derived panels and conv scratch.
   struct StepState {
-    tensor::Tensor panel;   ///< linear: W^T [in,out]; conv under policy: P(W)
+    tensor::Tensor panel;    ///< linear: W^T [in,out] (P(W)^T under policy)
     std::uint64_t version = 0;
     bool bound = false;
-    tensor::Tensor qgamma;  ///< bn under policy: P(gamma)
+    tensor::Tensor qweight;  ///< under policy: P(W) (linear, conv) or P(gamma) (bn)
     std::uint64_t gamma_version = 0;
     tensor::Tensor cols;    ///< conv im2col scratch, persistent across runs
     // BN-folded conv panels (step.folded_bn != nullptr): fw = W * scale,
@@ -162,7 +176,7 @@ class FloatBackend final : public Backend {
     int bn_stats = -1;                   ///< bn: index into bn_stats_
     int wgrad = -1;                      ///< linear/conv W, bn gamma
     int bgrad = -1;                      ///< linear/conv bias, bn beta
-    tensor::Tensor w2d_t;                ///< conv: W^T [patch, out_c] panel
+    tensor::Tensor w2d_t;                ///< conv: W^T (P(W)^T under policy) [patch, out_c]
     std::uint64_t wt_version = 0;
     bool wt_bound = false;
     tensor::Tensor e_t;                  ///< linear: dY^T scratch
@@ -173,6 +187,8 @@ class FloatBackend final : public Backend {
 
   bool quantizing() const { return policy_ != nullptr && policy_->active(); }
   void refresh();
+  /// A_p = P(A) on a step output, at the eager forward's hook sites.
+  void quantize_output(const Step& s, tensor::Tensor& out);
   void fold_conv_bn(const Step& s, StepState& st);
   const tensor::Tensor& slot_tensor(int slot, const tensor::Tensor& x) const;
   tensor::Tensor& bind_slot(int slot, const tensor::Shape& shape);
@@ -185,16 +201,16 @@ class FloatBackend final : public Backend {
   static void exec_join(const tensor::Tensor& main, const tensor::Tensor& skip,
                         tensor::Tensor& out);
 
-  void exec_bn_train(const Step& s, TrainState& ts, const tensor::Tensor& in, tensor::Tensor& out,
-                     tensor::Tensor& xhat);
+  void exec_bn_train(const Step& s, const StepState& st, TrainState& ts, const tensor::Tensor& in,
+                     tensor::Tensor& out, tensor::Tensor& xhat);
   static void exec_relu_train(TrainState& ts, const tensor::Tensor& in, tensor::Tensor& out);
   static void exec_maxpool_train(TrainState& ts, const tensor::Tensor& in, tensor::Tensor& out);
   static void exec_join_train(TrainState& ts, const tensor::Tensor& main,
                               const tensor::Tensor& skip, tensor::Tensor& out);
 
-  void exec_linear_grad(const Step& s, TrainState& ts, const tensor::Tensor& e,
+  void exec_linear_grad(const Step& s, const StepState& st, TrainState& ts, const tensor::Tensor& e,
                         const tensor::Tensor& in, tensor::Tensor& gout, bool acc);
-  void exec_conv_grad(const Step& s, TrainState& ts, const tensor::Tensor& e,
+  void exec_conv_grad(const Step& s, const StepState& st, TrainState& ts, const tensor::Tensor& e,
                       const tensor::Tensor& in, tensor::Tensor& gout, bool acc);
   void exec_bn_grad(const Step& s, TrainState& ts, const tensor::Tensor& e,
                     const tensor::Tensor& xhat, tensor::Tensor& gout, bool acc);
@@ -223,6 +239,7 @@ class FloatBackend final : public Backend {
   std::vector<BnBatchStats> bn_stats_;  // kBatchNorm steps, in step order
   tensor::Shape train_out_shape_;       // last train_forward output shape
   const tensor::Tensor* train_input_ = nullptr;  // caller's x; backward GEMMs read it
+  tensor::Tensor qerr_;                 // P(E) copy of the current grad step's error
   bool forward_done_ = false;
 };
 

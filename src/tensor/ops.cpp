@@ -115,16 +115,9 @@ void extract_span(const Tensor& batch, std::size_t lo, std::size_t count, Tensor
                                 std::to_string(lo + count) + ") out of range for batch " +
                                 s.to_string());
   }
-  Shape span;
-  switch (s.rank()) {
-    case 1: span = {count}; break;
-    case 2: span = {count, s[1]}; break;
-    case 3: span = {count, s[1], s[2]}; break;
-    default: span = {count, s[1], s[2], s[3]}; break;
-  }
   std::size_t stride = 1;
   for (std::size_t d = 1; d < s.rank(); ++d) stride *= s[d];
-  out.resize(span);
+  out.resize(s.with_dim0(count));
   std::memcpy(out.data(), batch.data() + lo * stride, count * stride * sizeof(float));
 }
 

@@ -30,6 +30,12 @@ class Shape {
 
   std::size_t rank() const { return rank_; }
   std::size_t operator[](std::size_t i) const { return dims_[i]; }
+  /// The same shape with the leading (batch) dimension replaced; rank >= 1.
+  Shape with_dim0(std::size_t n) const {
+    Shape s = *this;
+    s.dims_[0] = n;
+    return s;
+  }
   std::size_t numel() const {
     std::size_t n = 1;
     for (std::size_t i = 0; i < rank_; ++i) n *= dims_[i];

@@ -12,17 +12,39 @@
 
 namespace pdnn::train {
 
-using tensor::Shape;
 using tensor::Tensor;
 
+namespace {
+
+/// Leading-dimension sample count; throws on an empty set or a label count
+/// that does not match it.
+std::size_t checked_count(const Tensor& x, const std::vector<int>& y, const char* who) {
+  const std::size_t n = x.shape().rank() != 0 ? x.shape()[0] : 0;
+  if (n == 0) throw std::invalid_argument(std::string("train::Trainer::") + who + ": empty set");
+  if (y.size() != n) {
+    throw std::invalid_argument(std::string("train::Trainer::") + who + ": " +
+                                std::to_string(y.size()) + " labels for " + std::to_string(n) +
+                                " samples");
+  }
+  return n;
+}
+
+}  // namespace
+
 Trainer::Trainer(nn::Module& net, TrainerConfig cfg)
-    : net_(net), cfg_(std::move(cfg)), params_(net.params()), opt_(params_, cfg_.sgd) {
+    : net_(net), cfg_(std::move(cfg)), params_(net.params()),
+      opt_(params_, cfg_.sgd, cfg_.policy) {
   if (cfg_.batch_size == 0) throw std::invalid_argument("train::Trainer: batch_size must be > 0");
   if (cfg_.micro_batch == 0) cfg_.micro_batch = cfg_.batch_size;
   if (cfg_.workers == 0) cfg_.workers = 1;
+  if (cfg_.policy != nullptr && (cfg_.workers != 1 || cfg_.micro_batch < cfg_.batch_size)) {
+    throw std::invalid_argument(
+        "train::Trainer: a precision policy needs workers == 1 and one shard per batch "
+        "(micro_batch 0 or batch_size)");
+  }
   backends_.reserve(cfg_.workers);
   for (std::size_t w = 0; w < cfg_.workers; ++w) {
-    backends_.push_back(exec::FloatBackend::compile_training(net_));
+    backends_.push_back(exec::FloatBackend::compile_training(net_, cfg_.policy));
   }
   worker_x_.resize(cfg_.workers);
   worker_y_.resize(cfg_.workers);
@@ -82,12 +104,7 @@ void Trainer::run_worker(std::size_t w, std::size_t n_shards, const Tensor& bx,
 }
 
 StepStats Trainer::step(const Tensor& bx, const std::vector<int>& by) {
-  const std::size_t n = bx.shape().rank() != 0 ? bx.shape()[0] : 0;
-  if (n == 0) throw std::invalid_argument("train::Trainer::step: empty batch");
-  if (by.size() != n) {
-    throw std::invalid_argument("train::Trainer::step: " + std::to_string(by.size()) +
-                                " labels for " + std::to_string(n) + " samples");
-  }
+  const std::size_t n = checked_count(bx, by, "step");
   const std::size_t n_shards = (n + cfg_.micro_batch - 1) / cfg_.micro_batch;
   if (n_shards > shard_grads_.size()) {
     throw std::invalid_argument("train::Trainer::step: batch of " + std::to_string(n) +
@@ -152,13 +169,7 @@ Tensor Trainer::gather(const Tensor& x, const std::vector<std::size_t>& idx, std
                        std::size_t hi) const {
   const std::size_t count = hi - lo;
   const std::size_t row = x.numel() / x.shape()[0];
-  Shape s;
-  if (x.shape().rank() == 4) {
-    s = Shape{count, x.shape()[1], x.shape()[2], x.shape()[3]};
-  } else {
-    s = Shape{count, x.shape()[1]};
-  }
-  Tensor out(s);
+  Tensor out(x.shape().with_dim0(count));
   for (std::size_t i = 0; i < count; ++i) {
     std::memcpy(out.data() + i * row, x.data() + idx[lo + i] * row, row * sizeof(float));
   }
@@ -167,17 +178,24 @@ Tensor Trainer::gather(const Tensor& x, const std::vector<std::size_t>& idx, std
 
 std::vector<EpochResult> Trainer::fit(const Tensor& train_x, const std::vector<int>& train_y,
                                       const Tensor& test_x, const std::vector<int>& test_y) {
-  const std::size_t n = train_x.shape()[0];
+  const std::size_t n = checked_count(train_x, train_y, "fit");
+  checked_count(test_x, test_y, "fit");
   tensor::Rng shuffle_rng(cfg_.shuffle_seed);
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
   std::vector<EpochResult> history;
+  bool warmup_done = cfg_.warmup_epochs == 0;
+  if (warmup_done && cfg_.on_warmup_end) cfg_.on_warmup_end(net_);
   for (std::size_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
+    if (!warmup_done && epoch >= cfg_.warmup_epochs) {
+      warmup_done = true;
+      if (cfg_.on_warmup_end) cfg_.on_warmup_end(net_);
+    }
     const float lr = cfg_.schedule.lr_at(epoch);
     opt_.set_lr(lr);
 
-    // Fisher-Yates, same stream as nn::Trainer::fit.
+    // Fisher-Yates shuffle.
     for (std::size_t i = n - 1; i > 0; --i) {
       std::swap(order[i], order[shuffle_rng.uniform_int(i + 1)]);
     }
@@ -202,19 +220,22 @@ std::vector<EpochResult> Trainer::fit(const Tensor& train_x, const std::vector<i
     r.train_loss = static_cast<float>(loss_sum / static_cast<double>(seen));
     r.train_acc = static_cast<float>(correct) / static_cast<float>(seen);
     r.test_acc = evaluate(test_x, test_y);
+    r.quantized = cfg_.policy != nullptr && cfg_.policy->active();
     history.push_back(r);
 
     if (cfg_.verbose) {
-      std::printf("epoch %3zu  lr %.4f  loss %.4f  train %.4f  test %.4f\n", epoch, lr,
-                  r.train_loss, r.train_acc, r.test_acc);
+      const char* phase = cfg_.policy == nullptr ? "" : r.quantized ? "  [posit]" : "  [fp32]";
+      std::printf("epoch %3zu  lr %.4f  loss %.4f  train %.4f  test %.4f%s\n", epoch, lr,
+                  r.train_loss, r.train_acc, r.test_acc, phase);
       std::fflush(stdout);
     }
+    if (cfg_.on_epoch_end) cfg_.on_epoch_end(epoch, net_);
   }
   return history;
 }
 
 float Trainer::evaluate(const Tensor& x, const std::vector<int>& y, std::size_t batch) {
-  const std::size_t n = x.shape()[0];
+  const std::size_t n = checked_count(x, y, "evaluate");
   Tensor bx;
   std::size_t correct = 0;
   for (std::size_t lo = 0; lo < n; lo += batch) {

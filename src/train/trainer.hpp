@@ -21,11 +21,21 @@
 //
 //   => Trained parameters are BIT-IDENTICAL for any `workers` value at
 //      fixed micro_batch. And with micro_batch == batch_size (one shard,
-//      scale n_s/N == 1), the whole step is bit-identical to the eager
-//      nn::Trainer loop on the same batches.
+//      scale n_s/N == 1), the whole step is bit-identical to the manual
+//      eager loop (Module::forward/backward + SgdMomentum) on the same
+//      batches.
+//
+// fit() also runs the paper's phase structure: `warmup_epochs` of FP32
+// training, then on_warmup_end (wire it to QuantPolicy::calibrate +
+// activate), after which the policy's Fig. 3 hooks fire in the compiled
+// forward/backward and in SgdMomentum's updated-weight P(W). Policy training
+// is single-worker, single-shard: the policies' rounding RNG and transform
+// counter are not thread-safe, and a per-shard P(dW) is not the paper's
+// P(dW) of the batch gradient.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "exec/float_backend.hpp"
@@ -47,6 +57,16 @@ struct TrainerConfig {
   nn::StepSchedule schedule;
   std::uint64_t shuffle_seed = 1;
   bool verbose = false;
+  /// Fig. 3 precision policy (not owned); null trains in plain FP32. Needs
+  /// workers == 1 and a single shard.
+  nn::PrecisionPolicy* policy = nullptr;
+  /// FP32 epochs before on_warmup_end fires (0 fires it before epoch 0).
+  std::size_t warmup_epochs = 1;
+  /// Called once when warm-up finishes, e.g. QuantPolicy::calibrate(net) +
+  /// activate(). May be empty.
+  std::function<void(nn::Module&)> on_warmup_end;
+  /// Called after every epoch (e.g. the Fig. 2 weight-stats collector).
+  std::function<void(std::size_t epoch, nn::Module&)> on_epoch_end;
 };
 
 /// Aggregates of one optimizer step, weighted like the eager loop's epoch
@@ -63,6 +83,7 @@ struct EpochResult {
   float train_loss = 0.0f;
   float train_acc = 0.0f;
   float test_acc = 0.0f;
+  bool quantized = false;  ///< the policy was active during this epoch
 };
 
 class Trainer {
@@ -70,7 +91,9 @@ class Trainer {
   /// Compiles one training backend per worker over `net` (which must outlive
   /// the trainer). The module graph is shared read-only during a step; all
   /// mutation (gradient merge, BN running stats, SGD update) happens serially
-  /// on the calling thread after the workers join.
+  /// on the calling thread after the workers join. Throws
+  /// std::invalid_argument on batch_size 0, or on a policy with more than
+  /// one worker or shard.
   Trainer(nn::Module& net, TrainerConfig cfg);
 
   /// One optimizer step on batch (bx, by): shard, forward/backward on the
@@ -78,13 +101,15 @@ class Trainer {
   /// batch or a label count mismatch.
   StepStats step(const tensor::Tensor& bx, const std::vector<int>& by);
 
-  /// Full training run, mirroring nn::Trainer::fit: Fisher-Yates shuffle per
-  /// epoch from shuffle_seed, lr from the step schedule, one EpochResult per
-  /// epoch.
+  /// Full training run: warm-up phase, Fisher-Yates shuffle per epoch from
+  /// shuffle_seed, lr from the step schedule, one EpochResult per epoch.
+  /// Inputs are [N, ...] of any rank. Throws std::invalid_argument on an
+  /// empty set or a label count that differs from N (train or test).
   std::vector<EpochResult> fit(const tensor::Tensor& train_x, const std::vector<int>& train_y,
                                const tensor::Tensor& test_x, const std::vector<int>& test_y);
 
-  /// Accuracy in eval mode (compiled forward, running BN stats).
+  /// Accuracy in eval mode (compiled forward, running BN stats, the policy's
+  /// forward hooks when active). Same input checks as fit().
   float evaluate(const tensor::Tensor& x, const std::vector<int>& y, std::size_t batch = 128);
 
   std::size_t workers() const { return backends_.size(); }

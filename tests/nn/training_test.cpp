@@ -1,16 +1,19 @@
-// training_test.cpp — optimizer, schedule and end-to-end learning tests.
+// training_test.cpp — optimizer, schedule and end-to-end learning tests
+// (the end-to-end runs go through train::Trainer, the one training loop).
 #include <gtest/gtest.h>
 
 #include "data/synthetic.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/resnet.hpp"
-#include "nn/trainer.hpp"
+#include "train/trainer.hpp"
 
 namespace pdnn::nn {
 namespace {
 
 using tensor::Rng;
 using tensor::Tensor;
+using train::Trainer;
+using train::TrainerConfig;
 
 TEST(SgdMomentum, MinimizesQuadratic) {
   // Minimize f(w) = 0.5 * ||w - target||^2 by feeding grad = w - target.
@@ -60,7 +63,7 @@ TEST(StepSchedule, PaperCifarSchedule) {
 TEST(TrainerEndToEnd, MlpLearnsTwoMoons) {
   Rng rng(20);
   auto net = mlp(2, 24, 2, 2, rng);
-  TrainConfig cfg;
+  TrainerConfig cfg;
   cfg.epochs = 40;
   cfg.batch_size = 32;
   cfg.sgd = {.lr = 0.1f, .momentum = 0.9f, .weight_decay = 0.0f};
@@ -68,7 +71,7 @@ TEST(TrainerEndToEnd, MlpLearnsTwoMoons) {
   cfg.warmup_epochs = 0;
 
   const auto data = data::make_two_moons(200, 0.15f, 7);
-  Trainer trainer(*net, nullptr, cfg);
+  Trainer trainer(*net, cfg);
   const auto hist = trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
   ASSERT_EQ(hist.size(), 40u);
   EXPECT_GT(hist.back().test_acc, 0.95f) << "two moons should be separable";
@@ -78,20 +81,20 @@ TEST(TrainerEndToEnd, MlpLearnsTwoMoons) {
 TEST(TrainerEndToEnd, WarmupCallbackFiresOnce) {
   Rng rng(21);
   auto net = mlp(2, 8, 2, 1, rng);
-  TrainConfig cfg;
+  TrainerConfig cfg;
   cfg.epochs = 4;
   cfg.warmup_epochs = 2;
   cfg.batch_size = 16;
   int fired = 0;
   std::size_t fired_at = 999;
-  cfg.on_warmup_end = [&](Sequential&) { ++fired; };
+  cfg.on_warmup_end = [&](Module&) { ++fired; };
   std::vector<std::size_t> epochs_seen;
-  cfg.on_epoch_end = [&](std::size_t e, Sequential&) {
+  cfg.on_epoch_end = [&](std::size_t e, Module&) {
     epochs_seen.push_back(e);
     if (fired == 1 && fired_at == 999) fired_at = e;
   };
   const auto data = data::make_two_moons(40, 0.2f, 9);
-  Trainer trainer(*net, nullptr, cfg);
+  Trainer trainer(*net, cfg);
   trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(fired_at, 2u) << "warm-up ends entering epoch 2";
@@ -113,13 +116,13 @@ TEST(TrainerEndToEnd, ResNetLearnsSynthCifarQuickly) {
   dc.noise = 0.25f;
   const auto data = data::make_synth_cifar(dc);
 
-  TrainConfig cfg;
+  TrainerConfig cfg;
   cfg.epochs = 8;
   cfg.batch_size = 32;
   cfg.sgd = {.lr = 0.05f, .momentum = 0.9f, .weight_decay = 1e-4f};
   cfg.schedule = {.base_lr = 0.05f, .drop_epochs = {6}, .factor = 10.0f};
   cfg.warmup_epochs = 0;
-  Trainer trainer(*net, nullptr, cfg);
+  Trainer trainer(*net, cfg);
   const auto hist = trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
   EXPECT_GT(hist.back().test_acc, 0.55f) << "well above 25% chance on 4 classes";
 }
@@ -128,8 +131,8 @@ TEST(TrainerEvaluate, MatchesManualCount) {
   Rng rng(23);
   auto net = mlp(2, 4, 2, 1, rng);
   const auto data = data::make_two_moons(20, 0.2f, 11);
-  TrainConfig cfg;
-  Trainer trainer(*net, nullptr, cfg);
+  TrainerConfig cfg;
+  Trainer trainer(*net, cfg);
   const float acc = trainer.evaluate(data.test.images, data.test.labels);
   EXPECT_GE(acc, 0.0f);
   EXPECT_LE(acc, 1.0f);

@@ -3,7 +3,7 @@
 // Module::forward(training)/backward chain: finite-difference gradient
 // checks, bit-equality on 40+ randomized nested graphs (including N = 0 and
 // batch-shape changes), BN running-stat commit parity, zero-heap-allocation
-// steady state, and the training-API misuse throws.
+// steady state, policy-carrying clones, and the training-API misuse throws.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +17,7 @@
 #include "graph_gen.hpp"
 #include "nn/layers.hpp"
 #include "nn/resnet.hpp"
+#include "quant/policy.hpp"
 #include "tensor/ops.hpp"
 
 // ---------------------------------------------------------------------------
@@ -328,6 +329,34 @@ TEST(TrainBackward, WeightUpdateBetweenStepsRefreshesWithoutDrift) {
   perturb(a.net->params());
   perturb(c.net->params());
   expect_steps_match(*a.net, b, x, g, "after update");
+}
+
+TEST(TrainBackward, CloneKeepsThePolicy) {
+  // A clone of a policy training backend fires the same Fig. 3 hooks: its
+  // step matches the original bit for bit, and differs from a plain FP32
+  // backend's once the policy is active.
+  Rng rng(31);
+  nn::ResNetConfig rc;
+  rc.base_channels = 4;
+  auto net = nn::cifar_resnet(rc, rng);
+  const Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
+  quant::QuantPolicy policy(quant::QuantConfig::cifar8());
+  policy.activate();
+
+  FloatBackend original = FloatBackend::compile_training(*net, &policy);
+  std::unique_ptr<Backend> cloned = original.clone();
+  auto& clone = dynamic_cast<FloatBackend&>(*cloned);
+  FloatBackend plain = FloatBackend::compile_training(*net);
+
+  const Tensor out = original.train_forward(x);
+  const Tensor g = Tensor::randn(out.shape(), rng);
+  original.run_backward(g);
+  EXPECT_TRUE(bit_identical(clone.train_forward(x), out));
+  clone.run_backward(g);
+  EXPECT_FALSE(bit_identical(plain.train_forward(x), out));
+  for (std::size_t i = 0; i < original.param_grads().size(); ++i) {
+    EXPECT_TRUE(bit_identical(clone.param_grads()[i], original.param_grads()[i])) << i;
+  }
 }
 
 TEST(TrainBackward, TrainingApiMisuseThrows) {

@@ -1,17 +1,23 @@
 // trainer_test.cpp — train::Trainer determinism and correctness: trained
 // parameters bit-identical across 1/2/4 workers at fixed micro-batch,
-// single-shard steps bit-identical to the manual eager loop, shard-count
-// metrics aggregation, fit()'s epoch loop, and batch-validation throws.
+// single-shard steps bit-identical to the manual eager loop (in FP32 and
+// under the Fig. 3 precision policies), shard-count metrics aggregation,
+// fit()'s epoch loop, and input-validation throws.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/layers.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/resnet.hpp"
+#include "quant/float_policy.hpp"
+#include "quant/policy.hpp"
 #include "tensor/ops.hpp"
 #include "train/trainer.hpp"
 
@@ -140,6 +146,120 @@ TEST(TrainTrainer, SingleShardStepBitIdenticalToEagerLoop) {
   }
 }
 
+/// Biased conv, BN, a downsampling residual block and a linear head: every
+/// hook site of Fig. 3 (conv/linear/BN, the block's join) on one net.
+std::unique_ptr<nn::Sequential> downsampling_cnn(std::uint64_t seed) {
+  Rng rng(seed);
+  nn::Sequential* net = new nn::Sequential("net");
+  net->add(std::make_unique<nn::Conv2d>("conv", 2, 4, 3, 1, 1, rng, /*with_bias=*/true));
+  net->add(std::make_unique<nn::BatchNorm2d>("bn", 4));
+  net->add(std::make_unique<nn::ReLU>("relu"));
+  net->add(std::make_unique<nn::ResidualBlock>("res", 4, 6, /*stride=*/2, rng));
+  net->add(std::make_unique<nn::GlobalAvgPool>("gap"));
+  net->add(std::make_unique<nn::Linear>("head", 6, 3, rng));
+  return std::unique_ptr<nn::Sequential>(net);
+}
+
+/// The three policies the compiled trainer must match eager under, each with
+/// a factory so the eager and plan sides own separate instances.
+std::vector<std::pair<std::string, std::function<std::unique_ptr<nn::PrecisionPolicy>()>>>
+policy_cases() {
+  quant::QuantConfig dynamic_tz = quant::QuantConfig::cifar8();
+  dynamic_tz.scale_mode = quant::ScaleMode::kDynamic;
+  dynamic_tz.round_mode = posit::RoundMode::kTowardZero;
+  quant::QuantConfig calibrated_ne = quant::QuantConfig::cifar8();
+  calibrated_ne.scale_mode = quant::ScaleMode::kCalibrated;
+  calibrated_ne.round_mode = posit::RoundMode::kNearestEven;
+  return {
+      {"posit dynamic/toward-zero",
+       [=] { return std::make_unique<quant::QuantPolicy>(dynamic_tz); }},
+      {"posit calibrated/nearest-even",
+       [=] { return std::make_unique<quant::QuantPolicy>(calibrated_ne); }},
+      {"fp8", [] { return std::make_unique<quant::FpPolicy>(quant::FpPolicyConfig::fp8_training()); }},
+  };
+}
+
+/// The warm-up-end action: calibrate a posit policy, then activate.
+void end_warmup(nn::PrecisionPolicy& policy, nn::Module& net) {
+  if (auto* q = dynamic_cast<quant::QuantPolicy*>(&policy)) {
+    q->calibrate(net);
+    q->activate();
+  } else {
+    dynamic_cast<quant::FpPolicy&>(policy).activate();
+  }
+}
+
+TEST(TrainTrainer, PolicyStepsBitIdenticalToEagerLoopAcrossWarmupFlip) {
+  // One FP32 warm-up step, the warm-up-end flip, then three policy steps: the
+  // single-shard plan must track the manual eager loop (set_policy +
+  // SgdMomentum with the policy) bit for bit, BN running stats included.
+  Rng data_rng(650);
+  const Tensor bx = Tensor::randn({4, 2, 8, 8}, data_rng);
+  const std::vector<int> by = {1, 0, 2, 1};
+  nn::SgdConfig sgd;
+  sgd.lr = 0.1f;
+  sgd.weight_decay = 5e-4f;
+
+  for (const auto& [name, make_policy] : policy_cases()) {
+    auto eager_net = downsampling_cnn(77);
+    auto plan_net = downsampling_cnn(77);
+    auto eager_policy = make_policy();
+    auto plan_policy = make_policy();
+    eager_net->set_policy(eager_policy.get());
+    nn::SgdMomentum opt(eager_net->params(), sgd, eager_policy.get());
+
+    TrainerConfig cfg;
+    cfg.batch_size = 4;
+    cfg.sgd = sgd;
+    cfg.policy = plan_policy.get();
+    Trainer trainer(*plan_net, cfg);
+
+    for (int s = 0; s < 4; ++s) {
+      if (s == 1) {
+        end_warmup(*eager_policy, *eager_net);
+        end_warmup(*plan_policy, *plan_net);
+      }
+      opt.zero_grad();
+      const Tensor logits = eager_net->forward(bx, /*training=*/true);
+      Tensor dlogits;
+      const float eager_loss = tensor::cross_entropy(logits, by, &dlogits);
+      eager_net->backward(dlogits);
+      opt.step();
+
+      const StepStats st = trainer.step(bx, by);
+      const std::string ctx = name + ", step " + std::to_string(s);
+      EXPECT_EQ(static_cast<float>(st.loss_sum / static_cast<double>(st.count)), eager_loss) << ctx;
+      expect_nets_identical(*eager_net, *plan_net, ctx);
+    }
+    // evaluate() runs the compiled eval forward under the same hooks.
+    const Tensor eager_eval = eager_net->forward(bx, /*training=*/false);
+    EXPECT_EQ(trainer.evaluate(bx, by),
+              static_cast<float>(tensor::count_correct(eager_eval, by)) / 4.0f)
+        << name;
+  }
+}
+
+TEST(TrainTrainer, PolicyNeedsOneWorkerAndOneShard) {
+  Rng rng(68);
+  auto net = nn::mlp(4, 8, 2, 1, rng);
+  quant::QuantPolicy policy;
+  TrainerConfig cfg;
+  cfg.batch_size = 8;
+  cfg.policy = &policy;
+
+  TrainerConfig two_workers = cfg;
+  two_workers.workers = 2;
+  EXPECT_THROW(Trainer(*net, two_workers), std::invalid_argument);
+  TrainerConfig sharded = cfg;
+  sharded.micro_batch = 4;
+  EXPECT_THROW(Trainer(*net, sharded), std::invalid_argument);
+
+  TrainerConfig one_shard = cfg;
+  one_shard.micro_batch = 8;
+  EXPECT_NO_THROW(Trainer(*net, one_shard));
+  EXPECT_NO_THROW(Trainer(*net, cfg));
+}
+
 TEST(TrainTrainer, UnevenTailShardAndMlpInputs) {
   // 5 samples at micro_batch 2 -> shards of 2, 2, 1; rank-2 (MLP) batches
   // shard through the same extract_span path.
@@ -217,6 +337,52 @@ TEST(TrainTrainer, DegenerateBatchesThrow) {
   TrainerConfig bad;
   bad.batch_size = 0;
   EXPECT_THROW(Trainer(*net, bad), std::invalid_argument);
+}
+
+TEST(TrainTrainer, FitKeepsInputRank) {
+  // A rank-3 set must gather rank-3 batches (whole rows of numel/N floats),
+  // which the MLP's plan then rejects by shape — not [count, shape[1]]
+  // batches filled past their end.
+  Rng rng(69);
+  auto net = nn::mlp(2, 8, 2, 1, rng);
+  TrainerConfig cfg;
+  cfg.epochs = 1;
+  cfg.batch_size = 4;
+  Trainer t(*net, cfg);
+  const Tensor x = Tensor::zeros({8, 2, 3});
+  const std::vector<int> y(8, 0);
+  EXPECT_THROW(t.fit(x, y, x, y), std::invalid_argument);
+}
+
+TEST(TrainTrainer, FitAndEvaluateRejectEmptySets) {
+  Rng rng(70);
+  auto net = nn::mlp(4, 8, 2, 1, rng);
+  TrainerConfig cfg;
+  cfg.epochs = 1;
+  cfg.batch_size = 4;
+  Trainer t(*net, cfg);
+  const Tensor x = Tensor::zeros({8, 4});
+  const std::vector<int> y(8, 0);
+  const Tensor empty = Tensor::zeros({0, 4});
+  EXPECT_THROW(t.fit(empty, {}, x, y), std::invalid_argument);
+  EXPECT_THROW(t.fit(Tensor(), {}, x, y), std::invalid_argument);
+  EXPECT_THROW(t.fit(x, y, empty, {}), std::invalid_argument);
+  EXPECT_THROW(t.evaluate(empty, {}), std::invalid_argument);
+}
+
+TEST(TrainTrainer, FitAndEvaluateRejectLabelCountMismatch) {
+  Rng rng(71);
+  auto net = nn::mlp(4, 8, 2, 1, rng);
+  TrainerConfig cfg;
+  cfg.epochs = 1;
+  cfg.batch_size = 4;
+  Trainer t(*net, cfg);
+  const Tensor x = Tensor::zeros({8, 4});
+  const std::vector<int> y(8, 0);
+  const std::vector<int> short_y(5, 0);
+  EXPECT_THROW(t.fit(x, short_y, x, y), std::invalid_argument);
+  EXPECT_THROW(t.fit(x, y, x, short_y), std::invalid_argument);
+  EXPECT_THROW(t.evaluate(x, short_y), std::invalid_argument);
 }
 
 }  // namespace
