@@ -1,19 +1,15 @@
 // bench_util.hpp — helpers shared by the perf-tracking benches
-// (bench_gemm, bench_posit): best-of timing, OpenMP thread control, and the
-// minimal JSON readback used by --check-regression. The scanners only parse
-// the flat one-object-per-line results arrays these benches themselves
-// write; a structural change to that format must update every bench through
-// this single header.
+// (bench_gemm, bench_posit, bench_train): best-of timing and the minimal
+// JSON readback used by --check-regression. The scanners only parse the flat
+// one-object-per-line results arrays these benches themselves write; a
+// structural change to that format must update every bench through this
+// single header. OpenMP thread control is exec/thread_budget.hpp.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <string>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace pdnn::benchutil {
 
@@ -28,22 +24,6 @@ double time_best(Fn&& fn, int reps) {
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
   }
   return best;
-}
-
-inline int max_threads() {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
-
-inline void set_threads(int n) {
-#ifdef _OPENMP
-  omp_set_num_threads(n);
-#else
-  (void)n;
-#endif
 }
 
 /// Scan `"key": <number>` inside one serialized result object.

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "exec/thread_budget.hpp"
 #include "exec/float_backend.hpp"
 #include "nn/resnet.hpp"
 #include "tensor/gemm_kernel.hpp"
@@ -70,10 +71,10 @@ void matmul_naive(const Tensor& a, const Tensor& b, Tensor& c) {
   }
 }
 
-using pdnn::benchutil::max_threads;
+using pdnn::exec::omp_max_threads;
 using pdnn::benchutil::scan_number;
 using pdnn::benchutil::scan_string;
-using pdnn::benchutil::set_threads;
+using pdnn::exec::set_omp_threads;
 
 /// Like benchutil::time_best, but re-zeroes the accumulation target between
 /// reps (matmul_acc adds into C).
@@ -222,7 +223,7 @@ void bench_forward(const std::string& net_name, pdnn::nn::Sequential& net, const
   }
 
   for (const int threads : {1, hw_threads}) {
-    set_threads(threads);
+    set_omp_threads(threads);
     const double t_eager =
         pdnn::benchutil::time_best([&] { net.forward(x, false); }, reps);
     const double t_plan = pdnn::benchutil::time_best([&] { backend.run(x); }, reps);
@@ -242,7 +243,7 @@ void bench_forward(const std::string& net_name, pdnn::nn::Sequential& net, const
     }
     if (hw_threads == 1) break;
   }
-  set_threads(hw_threads);
+  set_omp_threads(hw_threads);
 }
 
 }  // namespace
@@ -279,7 +280,7 @@ int main(int argc, char** argv) {
       {128, 128, 128}, {256, 256, 256}, {512, 512, 512}, {1024, 1024, 1024},
       {64, 576, 1024},  // conv-lowered GEMM shape (3x3, 64-channel, 32x32 image)
   };
-  const int hw_threads = max_threads();
+  const int hw_threads = omp_max_threads();
   Rng rng(7);
 
   std::vector<Result> results;
@@ -295,7 +296,7 @@ int main(int argc, char** argv) {
     Tensor c_naive = c;
     results.push_back({s, "naive", 1, t_naive, flops / t_naive * 1e-9, true});
 
-    set_threads(1);
+    set_omp_threads(1);
     const double t_serial =
         time_best([&] { pdnn::tensor::matmul_acc(a, b, c); }, c, reps);
     Tensor c_serial = c;
@@ -303,7 +304,7 @@ int main(int argc, char** argv) {
         std::memcmp(c_serial.data(), c_naive.data(), c.numel() * sizeof(float)) == 0;
     results.push_back({s, "blocked", 1, t_serial, flops / t_serial * 1e-9, oracle_match});
 
-    set_threads(hw_threads);
+    set_omp_threads(hw_threads);
     const double t_par = time_best([&] { pdnn::tensor::matmul_acc(a, b, c); }, c, reps);
     const bool thread_match =
         std::memcmp(c.data(), c_serial.data(), c.numel() * sizeof(float)) == 0;

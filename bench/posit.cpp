@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "exec/thread_budget.hpp"
 #include "nn/layers.hpp"
 #include "posit/mul_lut.hpp"
 #include "quant/posit_inference.hpp"
@@ -84,10 +85,10 @@ struct Result {
   double speedup = 0.0;  // vs reference at the same (label, spec, mode); 0 when n/a
 };
 
-using pdnn::benchutil::max_threads;
+using pdnn::exec::omp_max_threads;
 using pdnn::benchutil::scan_number;
 using pdnn::benchutil::scan_string;
-using pdnn::benchutil::set_threads;
+using pdnn::exec::set_omp_threads;
 using pdnn::benchutil::time_best;
 
 bool same_bits(const Tensor& a, const Tensor& b) {
@@ -279,7 +280,7 @@ int main(int argc, char** argv) {
   const std::vector<PositSpec> specs = {{8, 1}, {16, 1}, {32, 2}};
   const std::vector<AccumMode> modes = {AccumMode::kQuire, AccumMode::kSerial, AccumMode::kFma};
 
-  const int hw_threads = max_threads();
+  const int hw_threads = omp_max_threads();
   Rng rng(7);
   std::vector<Result> results;
   std::vector<Footprint> footprints;
@@ -320,7 +321,7 @@ int main(int argc, char** argv) {
         const bool small = c.macs < 8.0e6;
         const int ref_reps = small ? 3 : 1;
         const int eng_reps = small ? 10 : 3;
-        set_threads(1);
+        set_omp_threads(1);
 
         Tensor ref_out, eng_out;
         const auto run_ref = [&] {
@@ -349,7 +350,7 @@ int main(int argc, char** argv) {
         const double t_cached = time_best(run_cached, eng_reps);
         const bool cached_match = same_bits(cached_out, ref_out);
 
-        set_threads(hw_threads);
+        set_omp_threads(hw_threads);
         Tensor thr_out;
         const auto run_thr = [&] {
           thr_out = c.is_conv ? pdnn::quant::posit_conv2d(x, we, be, c.geom, mode)
@@ -357,7 +358,7 @@ int main(int argc, char** argv) {
         };
         const double t_thr = time_best(run_thr, eng_reps);
         const bool thr_match = same_bits(thr_out, ref_out);
-        set_threads(1);
+        set_omp_threads(1);
 
         results.push_back({c.label, spec, mode, "reference", 1, t_ref, c.macs / t_ref, lut, true, 1.0});
         results.push_back(
@@ -386,10 +387,10 @@ int main(int argc, char** argv) {
           run_sess();  // settle buffer shapes before timing
           const double t_sess = time_best(run_sess, eng_reps);
           const bool sess_match = same_bits(*sess_out, ref_out);
-          set_threads(hw_threads);
+          set_omp_threads(hw_threads);
           const double t_sess_thr = time_best(run_sess, eng_reps);
           const bool sess_thr_match = same_bits(*sess_out, ref_out);
-          set_threads(1);
+          set_omp_threads(1);
           results.push_back({c.label, spec, mode, "session", 1, t_sess, c.macs / t_sess, lut,
                              sess_match, t_ref / t_sess});
           results.push_back({c.label, spec, mode, "session", hw_threads, t_sess_thr,

@@ -2,7 +2,9 @@
 // backward + SGD update) through the eager Module::backward path and through
 // train::Trainer's compiled ExecPlan path, on the bench MLP and a ResNet-8
 // CNN, recording steps/s, samples/s, and the training arena footprint per
-// row, then writes BENCH_train.json.
+// row, then writes BENCH_train.json. Each row also records the host's
+// hardware threads and the OpenMP team each Trainer worker runs with (the
+// caller's budget split across the workers, exec/thread_budget.hpp).
 //
 // Before any timing, each net's determinism contract is bit-checked:
 // a single-shard Trainer step must leave parameters bit-identical to the
@@ -28,9 +30,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "exec/thread_budget.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/resnet.hpp"
 #include "quant/policy.hpp"
@@ -63,6 +67,8 @@ struct Row {
   double samples_per_s = 0.0;
   std::size_t arena_bytes = 0;
   bool bit_identical = true;
+  unsigned hw_threads = std::thread::hardware_concurrency();
+  int omp_threads_per_worker = 0;
 };
 
 bool params_bit_identical(pdnn::nn::Module& a, pdnn::nn::Module& b) {
@@ -165,6 +171,7 @@ Row time_eager(const Workload& w, const pdnn::nn::SgdConfig& sgd) {
   r.batch = w.bx.shape()[0];
   r.steps_per_s = 1.0 / best;
   r.samples_per_s = static_cast<double>(r.batch) / best;
+  r.omp_threads_per_worker = pdnn::exec::omp_max_threads();
   return r;
 }
 
@@ -188,6 +195,7 @@ Row time_plan(const Workload& w, const pdnn::nn::SgdConfig& sgd, std::size_t wor
   r.steps_per_s = 1.0 / best;
   r.samples_per_s = static_cast<double>(r.batch) / best;
   r.arena_bytes = trainer.arena_bytes();
+  r.omp_threads_per_worker = pdnn::exec::omp_share(pdnn::exec::omp_max_threads(), workers);
   return r;
 }
 
@@ -304,8 +312,8 @@ int main(int argc, char** argv) {
     eager.bit_identical = ok;
     rows.push_back(eager);
     // Plan path: the apples-to-apples single-shard row first, then the
-    // worker sweep at a fixed micro-batch (structural scaling on a 1-core
-    // container: shards overlap only via OS scheduling, but the bits match).
+    // worker sweep at a fixed micro-batch (the bits match at every worker
+    // count; the workers split the OpenMP budget).
     Row single = time_plan(w, sgd, /*workers=*/1, /*micro_batch=*/0);
     single.bit_identical = ok;
     rows.push_back(single);
@@ -318,10 +326,22 @@ int main(int argc, char** argv) {
   }
 
   for (const Row& r : rows) {
-    std::printf("%-12s %-5s w%zu micro %2zu batch %2zu  %8.1f steps/s  %9.0f samples/s"
+    std::printf("%-12s %-5s w%zu x omp %d micro %2zu batch %2zu  %8.1f steps/s  %9.0f samples/s"
                 "  arena %8zu B  %s\n",
-                r.net.c_str(), r.path.c_str(), r.workers, r.micro_batch, r.batch, r.steps_per_s,
-                r.samples_per_s, r.arena_bytes, r.bit_identical ? "bit-identical" : "MISMATCH");
+                r.net.c_str(), r.path.c_str(), r.workers, r.omp_threads_per_worker, r.micro_batch,
+                r.batch, r.steps_per_s, r.samples_per_s, r.arena_bytes,
+                r.bit_identical ? "bit-identical" : "MISMATCH");
+  }
+  const auto plan_rate = [&](const std::string& net, std::size_t workers) {
+    for (const Row& r : rows) {
+      if (r.net == net && r.path == "plan" && r.workers == workers) return r.samples_per_s;
+    }
+    return 0.0;
+  };
+  const double resnet_w1 = plan_rate("resnet8c8", 1);
+  if (resnet_w1 > 0.0) {
+    std::printf("resnet8c8 plan samples/s, 4 workers / 1 worker: x%.2f (%u hw threads)\n",
+                plan_rate("resnet8c8", 4) / resnet_w1, std::thread::hardware_concurrency());
   }
 
   std::ofstream out(out_path);
@@ -336,6 +356,8 @@ int main(int argc, char** argv) {
         << "\", \"workers\": " << r.workers << ", \"micro_batch\": " << r.micro_batch
         << ", \"batch\": " << r.batch << ", \"steps_per_s\": " << r.steps_per_s
         << ", \"samples_per_s\": " << r.samples_per_s << ", \"arena_bytes\": " << r.arena_bytes
+        << ", \"hw_threads\": " << r.hw_threads
+        << ", \"omp_threads_per_worker\": " << r.omp_threads_per_worker
         << ", \"bit_identical\": " << (r.bit_identical ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }

@@ -5,25 +5,13 @@
 
 #include <cstddef>
 
+#include "exec/thread_budget.hpp"  // also omp.h, for omp_get_thread_num()
 #include "posit/add_lut.hpp"
 #include "posit/mul_lut.hpp"
 #include "posit/quire.hpp"
 #include "quant/posit_inference.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace pdnn::quant::detail {
-
-/// Upper bound on the OpenMP team size the engine regions can start.
-inline int engine_threads() {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
 
 /// The tabulated kernels a (spec, mode) pair can dispatch onto (n <= 8
 /// formats; all pointers null otherwise). `mul`+`add` drive serial
@@ -57,7 +45,7 @@ EngineLuts resolve_luts(const posit::PositSpec& spec, AccumMode mode);
 /// exactly the reference order — so results are bit-identical to the scalar
 /// reference and to any other thread count, for every AccumMode.
 ///
-/// `quire_pool` must hold at least engine_threads() quires of `w.spec` when
+/// `quire_pool` must hold at least exec::omp_max_threads() quires of `w.spec` when
 /// mode == kQuire (the session's pre-planned per-thread arenas; the free
 /// functions build a transient pool). Ignored for the other modes.
 void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTensor& bias,

@@ -184,7 +184,7 @@ namespace {
 std::vector<posit::Quire> make_quire_pool(const PositSpec& spec, AccumMode mode) {
   std::vector<posit::Quire> pool;
   if (mode == AccumMode::kQuire) {
-    const int threads = detail::engine_threads();
+    const int threads = exec::omp_max_threads();
     pool.reserve(static_cast<std::size_t>(threads));
     for (int t = 0; t < threads; ++t) pool.emplace_back(spec);
   }

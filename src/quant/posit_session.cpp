@@ -117,7 +117,7 @@ struct PositSession::Impl final : exec::Backend {
   }
 
   void ensure_arena_threads() {
-    const std::size_t threads = static_cast<std::size_t>(detail::engine_threads());
+    const std::size_t threads = static_cast<std::size_t>(exec::omp_max_threads());
     for (Arena& a : arenas) {
       while (a.quires.size() < threads) a.quires.emplace_back(a.spec);
     }

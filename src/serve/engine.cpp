@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "exec/thread_budget.hpp"
 #include "tensor/ops.hpp"
 
 namespace pdnn::serve {
@@ -24,9 +25,13 @@ Engine::Engine(const BackendFactory& factory, const EngineConfig& cfg)
       throw std::invalid_argument("serve::Engine: BackendFactory returned null");
     }
   }
+  const int omp_share = exec::omp_share(exec::omp_max_threads(), cfg_.workers);
   threads_.reserve(cfg_.workers);
   for (std::size_t i = 0; i < cfg_.workers; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+    threads_.emplace_back([this, i, omp_share] {
+      exec::set_omp_threads(omp_share);
+      worker_loop(i);
+    });
   }
 }
 

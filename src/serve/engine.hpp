@@ -94,7 +94,9 @@ enum class OverloadPolicy {
 struct EngineConfig {
   /// Worker threads == backend clones. Each worker runs whole batches, so
   /// workers scale throughput across cores; on a single core they overlap
-  /// batch assembly with execution.
+  /// batch assembly with execution. The workers split the constructing
+  /// thread's OpenMP budget: each runs kernels with
+  /// exec::omp_share(omp_get_max_threads(), workers) threads.
   std::size_t workers = 1;
   /// Size watermark: dispatch immediately once this many same-shape requests
   /// are pending (also the gather buffer's steady-state capacity).

@@ -5,8 +5,9 @@
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
+#include <utility>
 
+#include "exec/thread_budget.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 
@@ -62,6 +63,56 @@ Trainer::Trainer(nn::Module& net, TrainerConfig cfg)
   shard_loss_.resize(max_shards);
   shard_correct_.resize(max_shards);
   shard_count_.resize(max_shards);
+
+  omp_share_ = exec::omp_share(exec::omp_max_threads(), cfg_.workers);
+  worker_error_.resize(cfg_.workers);
+  threads_.reserve(cfg_.workers - 1);
+  try {
+    for (std::size_t w = 1; w < cfg_.workers; ++w) {
+      threads_.emplace_back([this, w] { pool_loop(w); });
+    }
+  } catch (...) {
+    stop_pool();  // the destructor does not run for a throwing constructor
+    throw;
+  }
+}
+
+Trainer::~Trainer() { stop_pool(); }
+
+void Trainer::stop_pool() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+  }
+  job_cv_.notify_all();
+  for (std::thread& t : threads_) t.join();
+  threads_.clear();
+}
+
+void Trainer::pool_loop(std::size_t w) {
+  exec::set_omp_threads(omp_share_);
+  std::uint64_t seen = 0;
+  for (;;) {
+    const Tensor* bx = nullptr;
+    const std::vector<int>* by = nullptr;
+    std::size_t n_shards = 0;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      job_cv_.wait(lock, [&] { return stopping_ || generation_ != seen; });
+      if (stopping_) return;
+      seen = generation_;
+      bx = job_x_;
+      by = job_y_;
+      n_shards = job_shards_;
+    }
+    try {
+      run_worker(w, n_shards, *bx, *by);
+    } catch (...) {
+      worker_error_[w] = std::current_exception();
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--pending_ == 0) done_cv_.notify_one();
+  }
 }
 
 std::size_t Trainer::arena_bytes() const {
@@ -112,17 +163,37 @@ StepStats Trainer::step(const Tensor& bx, const std::vector<int>& by) {
                                 std::to_string(cfg_.batch_size));
   }
 
-  const std::size_t active = std::min(backends_.size(), n_shards);
-  if (active <= 1) {
+  if (threads_.empty() || n_shards == 1) {
+    exec::ScopedOmpThreads share(omp_share_);
     run_worker(0, n_shards, bx, by);
   } else {
-    std::vector<std::thread> pool;
-    pool.reserve(active - 1);
-    for (std::size_t w = 1; w < active; ++w) {
-      pool.emplace_back([this, w, n_shards, &bx, &by] { run_worker(w, n_shards, bx, by); });
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      job_x_ = &bx;
+      job_y_ = &by;
+      job_shards_ = n_shards;
+      pending_ = threads_.size();
+      ++generation_;
     }
-    run_worker(0, n_shards, bx, by);
-    for (auto& t : pool) t.join();
+    job_cv_.notify_all();
+    try {
+      exec::ScopedOmpThreads share(omp_share_);
+      run_worker(0, n_shards, bx, by);
+    } catch (...) {
+      worker_error_[0] = std::current_exception();
+    }
+    {
+      // bx and by must outlive every worker's use, so wait even when this
+      // thread's shards threw.
+      std::unique_lock<std::mutex> lock(mu_);
+      done_cv_.wait(lock, [this] { return pending_ == 0; });
+    }
+    std::exception_ptr first;
+    for (std::exception_ptr& e : worker_error_) {
+      if (!first) first = e;
+      e = nullptr;
+    }
+    if (first) std::rethrow_exception(first);
   }
 
   // BN running stats fold in shard order — the serial order a single worker

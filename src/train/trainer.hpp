@@ -25,6 +25,16 @@
 //      eager loop (Module::forward/backward + SgdMomentum) on the same
 //      batches.
 //
+// Threads: the constructor starts `workers - 1` persistent threads; the
+// caller of step() is worker 0. Workers share one OpenMP budget, the
+// constructing thread's omp_get_max_threads(): each opens teams of
+// exec::omp_share(budget, workers) threads (see exec/thread_budget.hpp).
+// The pool threads set that share once; the caller sets it only while it
+// runs its own shards and then restores its previous bound, so evaluate()
+// and user code keep the full team. A shard that throws on any worker is
+// rethrown from step() after every worker finished — before the merge, so
+// the model, BN running stats and optimizer stay untouched.
+//
 // fit() also runs the paper's phase structure: `warmup_epochs` of FP32
 // training, then on_warmup_end (wire it to QuantPolicy::calibrate +
 // activate), after which the policy's Fig. 3 hooks fire in the compiled
@@ -34,8 +44,12 @@
 // P(dW) of the batch gradient.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "exec/float_backend.hpp"
@@ -50,8 +64,9 @@ struct TrainerConfig {
   /// Shard size defining the numerics; 0 means batch_size (single shard,
   /// bit-identical to the eager loop).
   std::size_t micro_batch = 0;
-  /// Worker threads sharing the shard queue round-robin. Any value yields
-  /// the same trained bits; more workers only changes wall-clock.
+  /// Workers taking the shards round-robin (worker 0 is the caller of
+  /// step()) and splitting one OpenMP thread budget. Any value yields the
+  /// same trained bits; more workers only changes wall-clock.
   std::size_t workers = 1;
   nn::SgdConfig sgd;
   nn::StepSchedule schedule;
@@ -95,10 +110,17 @@ class Trainer {
   /// std::invalid_argument on batch_size 0, or on a policy with more than
   /// one worker or shard.
   Trainer(nn::Module& net, TrainerConfig cfg);
+  /// Stops and joins the worker threads.
+  ~Trainer();
+  Trainer(const Trainer&) = delete;
+  Trainer& operator=(const Trainer&) = delete;
 
   /// One optimizer step on batch (bx, by): shard, forward/backward on the
   /// workers, merge, SGD update. Throws std::invalid_argument on an empty
-  /// batch or a label count mismatch.
+  /// batch or a label count mismatch. An exception from a shard on any
+  /// worker (e.g. an input shape the plan rejects) is rethrown once every
+  /// worker has finished, the lowest worker id's first; the model, BN
+  /// running stats and optimizer state are then unchanged.
   StepStats step(const tensor::Tensor& bx, const std::vector<int>& by);
 
   /// Full training run: warm-up phase, Fisher-Yates shuffle per epoch from
@@ -119,6 +141,10 @@ class Trainer {
  private:
   void run_worker(std::size_t w, std::size_t n_shards, const tensor::Tensor& bx,
                   const std::vector<int>& by);
+  /// Body of pool thread `w` (1 <= w < workers): waits for each new job
+  /// generation, runs its shards, reports completion.
+  void pool_loop(std::size_t w);
+  void stop_pool();
   tensor::Tensor gather(const tensor::Tensor& x, const std::vector<std::size_t>& idx,
                         std::size_t lo, std::size_t hi) const;
 
@@ -142,6 +168,25 @@ class Trainer {
   std::vector<double> shard_loss_;
   std::vector<std::size_t> shard_correct_;
   std::vector<std::size_t> shard_count_;
+
+  int omp_share_ = 1;  // OpenMP team bound of every worker during its shards
+
+  // Job handoff to the pool threads. step() publishes the job and bumps
+  // generation_; each pool thread runs it once and decrements pending_.
+  std::mutex mu_;
+  std::condition_variable job_cv_;   // a new generation_ or stopping_
+  std::condition_variable done_cv_;  // pending_ reached 0
+  std::uint64_t generation_ = 0;
+  std::size_t pending_ = 0;
+  bool stopping_ = false;
+  const tensor::Tensor* job_x_ = nullptr;
+  const std::vector<int>* job_y_ = nullptr;
+  std::size_t job_shards_ = 0;
+  // The job's exception per worker id; written by its worker before the
+  // pending_ decrement, read and cleared by step() after the wait.
+  std::vector<std::exception_ptr> worker_error_;
+
+  std::vector<std::thread> threads_;  // workers 1..W-1; declared last
 };
 
 }  // namespace pdnn::train

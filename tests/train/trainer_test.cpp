@@ -2,17 +2,25 @@
 // parameters bit-identical across 1/2/4 workers at fixed micro-batch,
 // single-shard steps bit-identical to the manual eager loop (in FP32 and
 // under the Fig. 3 precision policies), shard-count metrics aggregation,
-// fit()'s epoch loop, and input-validation throws.
+// fit()'s epoch loop, input-validation throws, and the persistent worker
+// pool (shard exceptions propagate, steady-state steps create no threads).
+#include <dirent.h>
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "exec/thread_budget.hpp"
 #include "nn/layers.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/resnet.hpp"
@@ -383,6 +391,100 @@ TEST(TrainTrainer, FitAndEvaluateRejectLabelCountMismatch) {
   EXPECT_THROW(t.fit(x, short_y, x, y), std::invalid_argument);
   EXPECT_THROW(t.fit(x, y, x, short_y), std::invalid_argument);
   EXPECT_THROW(t.evaluate(x, short_y), std::invalid_argument);
+}
+
+TEST(TrainTrainer, StepErrorOnAnyWorkerThrowsAndTrainerStaysUsable) {
+  // Every shard of a batch the plan rejects throws on its worker; step()
+  // must rethrow (not abort) and leave nothing half-applied, so the next
+  // good step matches a fresh trainer's first step bit for bit.
+  const auto check = [](nn::Sequential& net, nn::Sequential& fresh_net, const Tensor& bad_x,
+                        const Tensor& good_x, const std::vector<int>& y,
+                        const std::string& ctx) {
+    TrainerConfig cfg;
+    cfg.batch_size = 8;
+    cfg.micro_batch = 4;
+    cfg.workers = 2;
+    Trainer t(net, cfg);
+    EXPECT_THROW(t.step(bad_x, y), std::invalid_argument) << ctx;
+    t.step(good_x, y);
+    Trainer fresh(fresh_net, cfg);
+    fresh.step(good_x, y);
+    expect_nets_identical(net, fresh_net, ctx);
+  };
+  Rng rng(72), rng2(72);
+  auto mlp = nn::mlp(4, 8, 2, 2, rng);
+  auto fresh_mlp = nn::mlp(4, 8, 2, 2, rng2);
+  Rng data_rng(900);
+  check(*mlp, *fresh_mlp, Tensor::zeros({8, 5}), Tensor::randn({8, 4}, data_rng),
+        std::vector<int>(8, 0), "mlp");
+  // A CNN with BatchNorm: running stats must not fold a failed step.
+  auto cnn = seeded_cnn(23), fresh_cnn = seeded_cnn(23);
+  check(*cnn, *fresh_cnn, Tensor::zeros({8, 3, 8, 8}), Tensor::randn({8, 2, 8, 8}, data_rng),
+        {0, 1, 2, 0, 1, 2, 0, 1}, "cnn");
+
+  // Teardown joins cleanly with no step run, and after a throwing last step.
+  TrainerConfig pool;
+  pool.batch_size = 8;
+  pool.micro_batch = 2;
+  pool.workers = 4;
+  { Trainer idle(*mlp, pool); }
+  {
+    Trainer t(*mlp, pool);
+    EXPECT_THROW(t.step(Tensor::zeros({8, 5}), std::vector<int>(8, 0)), std::invalid_argument);
+  }
+}
+
+/// The kernel thread ids of this process; empty when /proc is absent.
+std::set<long> task_ids() {
+  std::set<long> ids;
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return ids;
+  while (const dirent* e = readdir(dir)) {
+    if (e->d_name[0] != '.') ids.insert(std::strtol(e->d_name, nullptr, 10));
+  }
+  closedir(dir);
+  return ids;
+}
+
+TEST(TrainTrainer, SteadyStateStepCreatesNoThreads) {
+  if (task_ids().empty()) GTEST_SKIP() << "/proc/self/task is not available";
+  // Pin the caller's team so the worker share (4 / 2) differs from it.
+  exec::ScopedOmpThreads team(4);
+  auto net = seeded_cnn(24);
+  TrainerConfig cfg;
+  cfg.batch_size = 8;
+  cfg.micro_batch = 2;
+  cfg.workers = 2;
+  Trainer t(*net, cfg);
+  Rng data_rng(910);
+  const Tensor bx = Tensor::randn({8, 2, 8, 8}, data_rng);
+  const std::vector<int> by = {0, 1, 2, 0, 1, 2, 0, 1};
+
+  t.step(bx, by);  // first step: worker and OpenMP pools settle
+  const std::set<long> settled = task_ids();
+
+  // Sample the thread list while the steps run: a thread that a step
+  // creates and joins again would not show in the counts after it.
+  std::atomic<bool> done{false};
+  std::set<long> seen;
+  std::thread sampler([&] {
+    const long self = static_cast<long>(syscall(SYS_gettid));
+    while (!done.load()) {
+      for (long id : task_ids()) {
+        if (id != self) seen.insert(id);
+      }
+    }
+  });
+  for (int s = 0; s < 10; ++s) {
+    const int before = exec::omp_max_threads();
+    t.step(bx, by);
+    EXPECT_EQ(exec::omp_max_threads(), before) << "step " << s;
+  }
+  done.store(true);
+  sampler.join();
+
+  EXPECT_EQ(task_ids().size(), settled.size());
+  for (long id : seen) EXPECT_EQ(settled.count(id), 1u) << "thread " << id << " appeared";
 }
 
 }  // namespace
