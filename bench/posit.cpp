@@ -11,8 +11,9 @@
 //     also compares engine serial MAC/s against the committed baseline.
 //
 // --session additionally benches the compiled PositSession: steady-state
-// run() throughput on each shape (path "session") plus a batch-size sweep on
-// the linear shape (labels "linear_sweep_b*"), all recorded in the JSON.
+// run() throughput on each shape (path "session"), a batch-size sweep on
+// the linear shape (labels "linear_sweep_b*") and posit(8,1) quire rows at
+// ResNet-8's short dot lengths k = 27 and k = 8, all recorded in the JSON.
 //
 // Besides throughput rows, the JSON carries a "footprints" array — per
 // (shape, spec) packed panel bytes next to what the old unpacked layout
@@ -434,6 +435,52 @@ int main(int argc, char** argv) {
       std::printf("%-20s %-11s %-6s session %8.3f MMAC/s  %s\n", label.c_str(),
                   spec.to_string().c_str(), mode_name(mode), macs / t * 1e-6,
                   match ? "bit-identical" : "MISMATCH");
+    }
+  }
+
+  if (run_session) {
+    // ResNet-8's short dots on its serving format (posit(8,1) with quire
+    // accumulation, which runs as the exact int64 fixed-point dot): k = 27
+    // (the 3-channel stem) and k = 8 (the 1x1 stride-2 downsample). k = 72 is
+    // the conv_8c16x16_o16k3 case above. These keys have no baseline entry,
+    // so --check-regression reports them without gating.
+    const PositSpec spec{8, 1};
+    const AccumMode mode = AccumMode::kQuire;
+    std::vector<Case> short_dots(2);
+    short_dots[0].label = "conv_3c32x32_o8k3";
+    short_dots[0].geom = Conv2dGeom{3, 32, 32, 8, 3, 1, 1};
+    short_dots[1].label = "conv_8c32x32_o16k1s2";
+    short_dots[1].geom = Conv2dGeom{8, 32, 32, 16, 1, 2, 0};
+    for (Case& c : short_dots) {
+      c.is_conv = true;
+      c.batch = 4;
+      c.macs = static_cast<double>(c.batch) * c.geom.out_c * c.geom.out_h() * c.geom.out_w() *
+               c.geom.patch();
+      const Tensor x = Tensor::randn({c.batch, c.geom.in_c, c.geom.in_h, c.geom.in_w}, rng);
+      const Tensor w =
+          Tensor::randn({c.geom.out_c, c.geom.in_c, c.geom.kh(), c.geom.kw()}, rng, 0.3f);
+      const Tensor bias = Tensor::randn({c.geom.out_c}, rng, 0.1f);
+      const Tensor ref = pdnn::quant::posit_conv2d_reference(x, w, bias, c.geom, spec, mode);
+      auto net = case_net(c, w, bias);
+      PositSession session = PositSession::compile(*net, session_config(spec, mode));
+      const Tensor* out = nullptr;
+      const auto run_sess = [&] { out = &session.run(x); };
+      set_omp_threads(1);
+      run_sess();
+      const double t = time_best(run_sess, 10);
+      const bool match = same_bits(*out, ref);
+      set_omp_threads(hw_threads);
+      const double t_thr = time_best(run_sess, 10);
+      const bool thr_match = same_bits(*out, ref);
+      set_omp_threads(1);
+      results.push_back({c.label, spec, mode, "session", 1, t, c.macs / t, false, match, 0.0});
+      results.push_back({c.label, spec, mode, "session", hw_threads, t_thr, c.macs / t_thr, false,
+                         thr_match, 0.0});
+      mismatch = mismatch || !match || !thr_match;
+      std::printf("%-20s %-11s %-6s session %8.3f MMAC/s (k=%zu)  %d-thr %8.3f  %s\n",
+                  c.label.c_str(), spec.to_string().c_str(), mode_name(mode), c.macs / t * 1e-6,
+                  c.geom.patch(), hw_threads, c.macs / t_thr * 1e-6,
+                  match && thr_match ? "bit-identical" : "MISMATCH");
     }
   }
 

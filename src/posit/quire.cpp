@@ -252,8 +252,7 @@ std::uint32_t Quire::to_posit(RoundMode mode, RoundingRng* rng) const {
   int top_word = static_cast<int>(mag.size()) - 1;
   while (top_word >= 0 && mag[static_cast<std::size_t>(top_word)] == 0) --top_word;
   if (top_word < 0) return 0u;
-  int top_bit = 63;
-  while (((mag[static_cast<std::size_t>(top_word)] >> top_bit) & 1) == 0) --top_bit;
+  const int top_bit = 63 - __builtin_clzll(mag[static_cast<std::size_t>(top_word)]);
   const long msb_pos = static_cast<long>(top_word) * 64 + top_bit;
 
   // Extract up to 64 significand bits below (and including) the MSB; the rest
@@ -302,6 +301,38 @@ double Quire::to_double() const {
   }
   acc = std::ldexp(acc, static_cast<int>(-frac_bits_));
   return negative ? -acc : acc;
+}
+
+bool fixed_dot_fits(const PositSpec& spec, std::size_t k) {
+  const int r = spec.max_scale() - spec.min_scale();
+  if (2 * r >= 63) return false;
+  return k < (std::uint64_t{1} << (63 - 2 * r));
+}
+
+bool to_fixed(const Unpacked* src, std::size_t count, const PositSpec& spec, std::int32_t* out) {
+  // lsb_weight >= min_scale for every finite code (and 0 for zero/NaR lanes),
+  // and sig << shift <= 2^R <= 2^30: the shift is in range and the product
+  // fits the int32.
+  const int base = spec.min_scale();
+  std::uint8_t flags = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const Unpacked u = src[i];
+    flags |= u.flags;
+    const auto mag = static_cast<std::int32_t>(u.sig << (u.lsb_weight - base));
+    out[i] = u.neg != 0 ? -mag : mag;
+  }
+  return (flags & Unpacked::kNarFlag) != 0;
+}
+
+std::uint32_t round_fixed(std::int64_t sum, const PositSpec& spec) {
+  if (sum == 0) return 0u;
+  const bool negative = sum < 0;
+  // |sum| < 2^63 under fixed_dot_fits, so the magnitude needs no wider type.
+  const auto bits = static_cast<std::uint64_t>(sum);
+  const std::uint64_t mag = negative ? std::uint64_t{0} - bits : bits;
+  const int msb = 63 - __builtin_clzll(mag);
+  return round_pack(spec, negative, static_cast<long>(msb) + 2L * spec.min_scale(), mag, msb, false,
+                    RoundMode::kNearestEven, nullptr);
 }
 
 }  // namespace pdnn::posit

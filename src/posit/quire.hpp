@@ -81,4 +81,49 @@ class Quire {
   bool nar_ = false;
 };
 
+// ---------------------------------------------------------------------------
+// Exact fixed-point dot products for narrow formats (Deep Positron's EMAC
+// sized to the format instead of to the general quire).
+//
+// Every posit(n,es) value is an integer multiple of 2^min_scale (minpos)
+// whose magnitude is at most 2^R, R = max_scale - min_scale. So when
+// k * 2^(2R) < 2^63, k products and every partial sum of them are exact in
+// an int64: converting each operand once to an int32 multiple of 2^min_scale
+// (R <= 30 follows from the bound at k = 1), summing the products in int64
+// and rounding once gives the quire's exact value rounded once — the code
+// Quire::accumulate_dot + to_posit() produce. posit(8,0) fits up to
+// k < 2^39 and posit(8,1) up to k < 2^15; posit(8,2) and every (16,es>=1)
+// format never fit and stay on the quire.
+// ---------------------------------------------------------------------------
+
+/// True when a length-k dot of `spec` operands is exact in int64.
+bool fixed_dot_fits(const PositSpec& spec, std::size_t k);
+
+/// Convert `count` unpacked operands of `spec` to int32 multiples of
+/// 2^min_scale (zero and NaR lanes become 0). Returns true iff a lane was
+/// NaR: a dot over such a row is NaR, which the caller must return instead
+/// of fixed_dot(). Requires fixed_dot_fits(spec, 1).
+bool to_fixed(const Unpacked* src, std::size_t count, const PositSpec& spec, std::int32_t* out);
+
+/// Round an exact fixed-point sum of products (units of 2^(2*min_scale)) to
+/// the nearest-even posit code; saturating like every rounding here.
+std::uint32_t round_fixed(std::int64_t sum, const PositSpec& spec);
+
+/// round(sum_i a[i]*b[i]) over to_fixed() operands, nearest-even — the
+/// engine's kQuire dot whenever fixed_dot_fits(spec, k). Integer sums are
+/// exact, so the four-way split cannot change the result.
+inline std::uint32_t fixed_dot(const std::int32_t* a, const std::int32_t* b, std::size_t k,
+                               const PositSpec& spec) {
+  std::int64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+  std::size_t i = 0;
+  for (; i + 4 <= k; i += 4) {
+    s0 += static_cast<std::int64_t>(a[i]) * b[i];
+    s1 += static_cast<std::int64_t>(a[i + 1]) * b[i + 1];
+    s2 += static_cast<std::int64_t>(a[i + 2]) * b[i + 2];
+    s3 += static_cast<std::int64_t>(a[i + 3]) * b[i + 3];
+  }
+  for (; i < k; ++i) s0 += static_cast<std::int64_t>(a[i]) * b[i];
+  return round_fixed((s0 + s1) + (s2 + s3), spec);
+}
+
 }  // namespace pdnn::posit

@@ -40,10 +40,25 @@ EngineLuts resolve_luts(const posit::PositSpec& spec, AccumMode mode);
 /// Resident panel memory is the packed payload; the decoded activation panel
 /// is per-call working scratch.
 ///
+/// Which accumulator runs, by mode, format and dot length k alone:
+///   * kQuire, posit::fixed_dot_fits(spec, k) — exact int64 fixed-point dot
+///     (posit/quire.hpp). Both panels are converted once per call to int32
+///     multiples of 2^min_scale; the dot sums the products in int64 and
+///     rounds once. The bound k * 2^(2(max_scale - min_scale)) < 2^63 keeps
+///     every partial sum exact: posit(8,1) qualifies up to k < 2^15 and
+///     posit(8,0) up to k < 2^39. A row holding a NaR yields NaR, as the
+///     quire would.
+///   * kQuire otherwise (posit(8,2), (16,1), ... or k past the bound) — the
+///     general quire, one per thread. It stays the oracle: both routes
+///     produce the exact sum rounded once, hence the same code.
+///   * kSerial / kFma — rounded chains, from the n <= 8 tables when the
+///     format has them, else the Unpacked arithmetic.
+///
 /// Threading is over output columns with one quire per thread. Each output
 /// is accumulated start-to-finish by a single thread in ascending-k order —
 /// exactly the reference order — so results are bit-identical to the scalar
-/// reference and to any other thread count, for every AccumMode.
+/// reference and to any other thread count, for every AccumMode (the
+/// fixed-point dot is exact, so its summation order cannot matter).
 ///
 /// `quire_pool` must hold at least exec::omp_max_threads() quires of `w.spec` when
 /// mode == kQuire (the session's pre-planned per-thread arenas; the free

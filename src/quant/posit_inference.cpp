@@ -29,6 +29,12 @@ struct DecodeScratch {
   std::vector<std::uint32_t> w_codes;
   std::vector<Unpacked> a_ops;
   std::vector<Unpacked> w_ops;
+  // Fixed-point dot operands (kQuire on formats fixed_dot_fits() accepts):
+  // the activation panel plus one NaR flag per row, and the streamed weight
+  // row. w_ops doubles as the row-decode staging buffer on that path.
+  std::vector<std::int32_t> a_fixed;
+  std::vector<std::uint8_t> a_nar;
+  std::vector<std::int32_t> w_fixed;
 };
 thread_local DecodeScratch tl_scratch;
 
@@ -44,7 +50,9 @@ std::size_t engine_scratch_bytes() {
   const DecodeScratch& s = tl_scratch;
   return (s.a_codes.capacity() + s.w_codes.capacity() + tl_encode_codes.capacity()) *
              sizeof(std::uint32_t) +
-         (s.a_ops.capacity() + s.w_ops.capacity()) * sizeof(Unpacked);
+         (s.a_ops.capacity() + s.w_ops.capacity()) * sizeof(Unpacked) +
+         (s.a_fixed.capacity() + s.w_fixed.capacity()) * sizeof(std::int32_t) +
+         s.a_nar.capacity();
 }
 
 EngineLuts resolve_luts(const PositSpec& spec, AccumMode mode) {
@@ -75,7 +83,12 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
   // decode intermediate); the lane decode is skipped when nothing reads it.
   const bool lut_serial = mode == AccumMode::kSerial && luts.mul != nullptr && luts.add != nullptr;
   const bool lut_fma = mode == AccumMode::kFma && luts.fma != nullptr;
-  const bool need_ops = !(lut_serial || lut_fma);
+  // kQuire dots that are exact in int64 run on fixed-point operands, which
+  // are converted from Unpacked lanes row by row; only the quire and the
+  // non-LUT chains keep the whole Unpacked activation panel.
+  const bool fixed =
+      mode == AccumMode::kQuire && a.spec == spec && posit::fixed_dot_fits(spec, k);
+  const bool need_ops = !(lut_serial || lut_fma || fixed);
   // Phase split keeps every panel value's decode to exactly once per call:
   // the activation panel is block-decoded (kActTile-row slices, in parallel)
   // into the calling thread's scratch, then the GEMM parallelizes over
@@ -87,6 +100,12 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
   if (need_ops) host.a_ops.resize(rows * k);
   std::uint32_t* const a_codes_buf = host.a_codes.data();
   Unpacked* const a_ops_buf = need_ops ? host.a_ops.data() : nullptr;
+  if (fixed) {
+    host.a_fixed.resize(rows * k);
+    host.a_nar.resize(rows);
+  }
+  std::int32_t* const a_fixed_buf = fixed ? host.a_fixed.data() : nullptr;
+  std::uint8_t* const a_nar_buf = fixed ? host.a_nar.data() : nullptr;
 #pragma omp parallel
   {
 #ifdef _OPENMP
@@ -95,6 +114,10 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
     const int tid = 0;
 #endif
     posit::Quire* quire = mode == AccumMode::kQuire ? &quire_pool[tid] : nullptr;
+    DecodeScratch& scratch = tl_scratch;
+    scratch.w_codes.resize(k);
+    if (need_ops || fixed) scratch.w_ops.resize(k);
+    if (fixed) scratch.w_fixed.resize(k);
 #pragma omp for schedule(static)
     for (std::size_t tile = 0; tile < tiles; ++tile) {
       const std::size_t r0 = tile * kActTile;
@@ -103,27 +126,41 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
       if (need_ops) {
         posit::decode_unpacked(a_codes_buf + r0 * k, (r1 - r0) * k, a.spec, a_ops_buf + r0 * k);
       }
+      if (fixed) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          posit::decode_unpacked(a_codes_buf + r * k, k, spec, scratch.w_ops.data());
+          a_nar_buf[r] = posit::to_fixed(scratch.w_ops.data(), k, spec, a_fixed_buf + r * k);
+        }
+      }
     }  // implicit barrier: the whole panel is decoded before any dot reads it
-    DecodeScratch& scratch = tl_scratch;
-    scratch.w_codes.resize(k);
-    if (need_ops) scratch.w_ops.resize(k);
 #pragma omp for schedule(static)
     for (std::size_t o = 0; o < cols; ++o) {
       posit::unpack_codes(w.packed.data(), o * k, k, spec, scratch.w_codes.data());
       const std::uint32_t* wcodes = scratch.w_codes.data();
       const Unpacked* wrow = scratch.w_ops.data();
-      if (need_ops) posit::decode_unpacked(wcodes, k, spec, scratch.w_ops.data());
+      const std::int32_t* wfixed = scratch.w_fixed.data();
+      if (need_ops || fixed) posit::decode_unpacked(wcodes, k, spec, scratch.w_ops.data());
+      const bool w_nar = fixed && posit::to_fixed(wrow, k, spec, scratch.w_fixed.data());
       const std::uint32_t bcode =
           !bias.empty() ? posit::unpack_one(bias.packed.data(), o, bias.spec) : 0u;
       for (std::size_t r = 0; r < rows; ++r) {
-        const Unpacked* arow = a_ops_buf + r * k;
-        const std::uint32_t* acodes = a_codes_buf + r * k;
+        // Offset the lane panel only where it exists (it is null whenever
+        // the LUT chains or the fixed-point dot run).
+        const std::size_t off = r * k;
+        const std::uint32_t* acodes = a_codes_buf + off;
         std::uint32_t acc = 0;
         switch (mode) {
           case AccumMode::kQuire:
-            quire->clear();
-            quire->accumulate_dot(arow, wrow, k);
-            acc = quire->to_posit();
+            if (fixed) {
+              // A NaR lane poisons the dot exactly as it poisons the quire.
+              acc = w_nar || a_nar_buf[r] != 0
+                        ? spec.nar_code()
+                        : posit::fixed_dot(a_fixed_buf + off, wfixed, k, spec);
+            } else {
+              quire->clear();
+              quire->accumulate_dot(a_ops_buf + off, wrow, k);
+              acc = quire->to_posit();
+            }
             break;
           case AccumMode::kSerial:
             if (lut_serial) {
@@ -134,7 +171,7 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
               }
             } else {
               for (std::size_t i = 0; i < k; ++i) {
-                acc = posit::add(acc, posit::mul(arow[i], wrow[i], spec), spec);
+                acc = posit::add(acc, posit::mul(a_ops_buf[off + i], wrow[i], spec), spec);
               }
             }
             break;
@@ -142,7 +179,9 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
             if (lut_fma) {
               for (std::size_t i = 0; i < k; ++i) acc = luts.fma->at(acodes[i], wcodes[i], acc);
             } else {
-              for (std::size_t i = 0; i < k; ++i) acc = posit::fma(arow[i], wrow[i], acc, spec);
+              for (std::size_t i = 0; i < k; ++i) {
+                acc = posit::fma(a_ops_buf[off + i], wrow[i], acc, spec);
+              }
             }
             break;
         }

@@ -63,6 +63,13 @@ struct Binding {
   EncodedTensor panel;
 };
 
+/// Elementwise posit steps (BN, residual join) go team-parallel above this
+/// many elements. One posit element costs ~100-450 ns (encode, arithmetic,
+/// decode), several hundred times a float element, so the team pays for
+/// itself far below the float kernels' thresholds. The work is elementwise,
+/// so the split cannot change a bit.
+constexpr std::size_t kPositParallelMin = 512;
+
 /// The posit-side state attached to one plan step: resolved format and
 /// accumulation mode, LUT kernels, quire-arena index, encoded weight panels,
 /// BN constants, and the per-step scratch the hot loop reuses.
@@ -70,7 +77,7 @@ struct StepState {
   PositSpec spec{16, 1};
   AccumMode mode = AccumMode::kQuire;
   detail::EngineLuts luts;
-  int arena = -1;  ///< per-thread quire pool index (kQuire GEMMs, GAP, joins)
+  int arena = -1;  ///< per-thread quire pool index (kQuire GEMMs, GAP)
 
   Binding weight, bias;  // bias.param == nullptr -> no bias (panel stays empty)
 
@@ -171,7 +178,7 @@ struct PositSession::Impl final : exec::Backend {
   void exec_conv(const exec::Step& step, StepState& s, const Tensor& in, Tensor& out);
   void exec_bn(const exec::Step& step, StepState& s, const Tensor& in, Tensor& out);
   void exec_gap(StepState& s, const Tensor& in, Tensor& out);
-  void exec_join(StepState& s, const Tensor& main, const Tensor& skip, Tensor& out);
+  void exec_join(const StepState& s, const Tensor& main, const Tensor& skip, Tensor& out);
 };
 
 // ---------------------------------------------------------------------------
@@ -223,11 +230,10 @@ void PositSession::Impl::compile_step(const exec::Step& step, StepState& s) {
       break;
     case exec::OpKind::kResidualJoin:
       // step.cls is the conv family (the post-add activation is a conv-class
-      // tensor in training too; see the lowering).
+      // tensor in training too; see the lowering). The join is one rounded
+      // add whatever the accumulation mode, so only the add table matters.
       s.spec = cfg.spec_for(step.name, step.cls);
-      s.mode = cfg.mode_for(step.name, step.cls);
-      s.luts = detail::resolve_luts(s.spec, s.mode);
-      if (s.mode == AccumMode::kQuire) s.arena = arena_for(s.spec);
+      s.luts = detail::resolve_luts(s.spec, AccumMode::kQuire);
       break;
     case exec::OpKind::kRelu:
     case exec::OpKind::kMaxPool2x2:
@@ -341,14 +347,16 @@ void PositSession::Impl::exec_bn(const exec::Step& step, StepState& s, const Ten
   (void)step;
   const std::size_t n = in.shape()[0], c = in.shape()[1];
   const std::size_t plane = in.shape()[2] * in.shape()[3];
-  // Channel slices are independent (same parallel shape as the FP32 BN);
-  // out may alias in (in-place step): reads and writes share the index.
-#pragma omp parallel for schedule(static) if (c > 1 && n * plane > 4096)
-  for (std::size_t ci = 0; ci < c; ++ci) {
-    const std::uint32_t scale = s.bn_scale[ci];
-    const std::uint32_t mean = s.bn_mean[ci];
-    const std::uint32_t shift = s.bn_shift[ci];
-    for (std::size_t ni = 0; ni < n; ++ni) {
+  // Every (image, channel) slice is independent; the team splits the
+  // collapsed slice range. out may alias in (in-place step): reads and
+  // writes share the index.
+  const bool team = n * c > 1 && n * c * plane > kPositParallelMin;
+#pragma omp parallel for schedule(static) collapse(2) if (team)
+  for (std::size_t ni = 0; ni < n; ++ni) {
+    for (std::size_t ci = 0; ci < c; ++ci) {
+      const std::uint32_t scale = s.bn_scale[ci];
+      const std::uint32_t mean = s.bn_mean[ci];
+      const std::uint32_t shift = s.bn_shift[ci];
       const float* src = in.data() + (ni * c + ci) * plane;
       float* dst = out.data() + (ni * c + ci) * plane;
       for (std::size_t p = 0; p < plane; ++p) {
@@ -394,41 +402,24 @@ void PositSession::Impl::exec_gap(StepState& s, const Tensor& in, Tensor& out) {
   }
 }
 
-void PositSession::Impl::exec_join(StepState& s, const Tensor& main, const Tensor& skip,
+void PositSession::Impl::exec_join(const StepState& s, const Tensor& main, const Tensor& skip,
                                    Tensor& out) {
   const std::size_t numel = out.numel();
   const float* ma = main.data();
   const float* sk = skip.data();
   float* dst = out.data();
-  posit::Quire* quires = pool(s);
-  // Join then ReLU, all in the block's format. In kQuire mode both branch
-  // terms accumulate through the session's quire arena (one rounding — the
-  // same value posit::add produces, by the quire's exactness); serial/fma
-  // modes use the rounded add, via its table when available.
-#pragma omp parallel if (numel > 16384)
-  {
-#ifdef _OPENMP
-    const int tid = omp_get_thread_num();
-#else
-    const int tid = 0;
-#endif
-    posit::Quire* quire = quires != nullptr ? &quires[tid] : nullptr;
-#pragma omp for schedule(static)
-    for (std::size_t i = 0; i < numel; ++i) {
-      const std::uint32_t a = posit::from_double(ma[i], s.spec, kEncodeRound);
-      const std::uint32_t b = posit::from_double(sk[i], s.spec, kEncodeRound);
-      std::uint32_t joined;
-      if (quire != nullptr) {
-        quire->clear();
-        quire->add_posit(a);
-        quire->add_posit(b);
-        joined = quire->to_posit();
-      } else {
-        joined = s.luts.add != nullptr ? s.luts.add->at(a, b) : posit::add(a, b, s.spec);
-      }
-      const float v = static_cast<float>(posit::to_double(joined, s.spec));
-      dst[i] = v > 0.0f ? v : 0.0f;
-    }
+  // Join then ReLU, all in the block's format. The exact sum of two posits
+  // rounded once — what a quire would accumulate — is posit::add by
+  // definition, so every accumulation mode runs the rounded add, from its
+  // table when the format has one (n <= 8).
+#pragma omp parallel for schedule(static) if (numel > kPositParallelMin)
+  for (std::size_t i = 0; i < numel; ++i) {
+    const std::uint32_t a = posit::from_double(ma[i], s.spec, kEncodeRound);
+    const std::uint32_t b = posit::from_double(sk[i], s.spec, kEncodeRound);
+    const std::uint32_t joined =
+        s.luts.add != nullptr ? s.luts.add->at(a, b) : posit::add(a, b, s.spec);
+    const float v = static_cast<float>(posit::to_double(joined, s.spec));
+    dst[i] = v > 0.0f ? v : 0.0f;
   }
 }
 

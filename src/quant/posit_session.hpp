@@ -7,8 +7,8 @@
 //
 //   * compile() lowers the module graph through exec::GraphBuilder into the
 //     backend-neutral ExecPlan (Sequential nesting and ResidualBlock
-//     skip-connections included — the residual join accumulates both
-//     branches through the session's quire path), lets exec::ArenaPlanner
+//     skip-connections included — the residual join rounds the exact sum
+//     of both branches once), lets exec::ArenaPlanner
 //     fold every intermediate tensor onto lifetime-shared arena buffers,
 //     then resolves each step's (PositSpec, AccumMode) from SessionConfig,
 //     pre-encodes every weight/bias/BN constant into session-owned
@@ -27,6 +27,16 @@
 // Outputs are bit-identical to chaining the per-layer engine entry points
 // (and hence to the scalar reference) at every spec, accumulation mode, and
 // thread count.
+//
+// Threading: GEMM steps split output columns (engine_gemm.hpp). The
+// elementwise posit steps — eval BN and the residual join — split their
+// elements across the OpenMP team once a step holds more than 512 of them
+// (BN over the collapsed (image, channel) slices, the join over elements):
+// a posit element costs hundreds of nanoseconds, so the team pays off far
+// below the float kernels' thresholds. Each element is computed alone, so
+// the split cannot change a bit. The join is posit::add in every mode — the
+// exact sum of two posits rounded once, which is what a quire would give —
+// read from the add table for n <= 8 formats.
 //
 // BN constants re-encode whenever gamma/beta versions or the BN's
 // stats_version change — a training forward that only moves the running

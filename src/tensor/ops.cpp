@@ -381,8 +381,28 @@ Tensor softmax(const Tensor& logits) {
   return out;
 }
 
+namespace {
+
+/// Throws std::invalid_argument unless there is one label per logits row.
+void check_label_count(const char* what, std::size_t rows, const std::vector<int>& labels) {
+  if (labels.size() != rows) {
+    throw std::invalid_argument(std::string(what) + ": " + std::to_string(labels.size()) +
+                                " labels for " + std::to_string(rows) + " logits rows");
+  }
+}
+
+}  // namespace
+
 float cross_entropy(const Tensor& logits, const std::vector<int>& labels, Tensor* grad_logits) {
   const std::size_t n = logits.shape()[0], k = logits.shape()[1];
+  check_label_count("cross_entropy", n, labels);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (labels[i] < 0 || static_cast<std::size_t>(labels[i]) >= k) {
+      throw std::invalid_argument("cross_entropy: label " + std::to_string(labels[i]) +
+                                  " at row " + std::to_string(i) + " is outside [0, " +
+                                  std::to_string(k) + ")");
+    }
+  }
   const Tensor probs = softmax(logits);
   float loss = 0.0f;
   for (std::size_t i = 0; i < n; ++i) {
@@ -404,6 +424,7 @@ float cross_entropy(const Tensor& logits, const std::vector<int>& labels, Tensor
 
 std::size_t count_correct(const Tensor& logits, const std::vector<int>& labels) {
   const std::size_t n = logits.shape()[0], k = logits.shape()[1];
+  check_label_count("count_correct", n, labels);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const float* row = logits.data() + i * k;

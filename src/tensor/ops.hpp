@@ -92,10 +92,13 @@ Tensor global_avgpool_backward(const Tensor& grad_out, const Shape& input_shape)
 Tensor softmax(const Tensor& logits);
 
 /// Mean cross-entropy of logits [N, classes] against integer labels;
-/// also emits dLogits (already divided by N).
+/// also emits dLogits (already divided by N). Throws std::invalid_argument,
+/// before touching `grad_logits`, unless there are exactly N labels and each
+/// lies in [0, classes).
 float cross_entropy(const Tensor& logits, const std::vector<int>& labels, Tensor* grad_logits);
 
-/// Count of argmax(logits) == label.
+/// Count of argmax(logits) == label. Throws std::invalid_argument unless
+/// there are exactly N labels (an out-of-range label simply never matches).
 std::size_t count_correct(const Tensor& logits, const std::vector<int>& labels);
 
 }  // namespace pdnn::tensor

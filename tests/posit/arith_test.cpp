@@ -10,6 +10,7 @@
 #include <cmath>
 #include <random>
 
+#include "bitwise_reference.hpp"
 #include "posit/arith.hpp"
 #include "posit/posit.hpp"
 #include "posit/unpacked.hpp"
@@ -266,6 +267,30 @@ TEST_P(Arith16Test, RandomUnpackedRoundTripAndMulAgainstCoded) {
     }
     const std::uint32_t b = static_cast<std::uint32_t>(rng()) & s.mask();
     ASSERT_EQ(mul(decode_unpacked(a, s), decode_unpacked(b, s), s), mul(a, b, s)) << a << " " << b;
+  }
+}
+
+TEST_P(Arith16Test, RandomSubFmaMatchPerBitReference) {
+  // sub and fma normalise their exact sums with a leading-zero count; the
+  // reference decodes and normalises bit by bit. Zero and NaR operands are
+  // mixed in, and the scale gaps run from full cancellation to pure sticky.
+  const PositSpec s = spec();
+  std::mt19937_64 rng(59);
+  const auto draw = [&] {
+    const std::uint64_t r = rng();
+    if ((r & 63) == 0) return 0u;
+    if ((r & 63) == 1) return s.nar_code();
+    return static_cast<std::uint32_t>(r >> 8) & s.mask();
+  };
+  for (int t = 0; t < 200000; ++t) {
+    const std::uint32_t a = draw();
+    const std::uint32_t b = draw();
+    // Every fourth trial subtracts a value near a, where the difference
+    // cancels most leading bits.
+    const std::uint32_t near_a = (a + (static_cast<std::uint32_t>(rng()) & 7u)) & s.mask();
+    const std::uint32_t c = (t & 3) == 0 ? near_a : draw();
+    ASSERT_EQ(sub(a, c, s), testing::bitwise_sub(a, c, s)) << a << " - " << c;
+    ASSERT_EQ(fma(a, b, c, s), testing::bitwise_fma(a, b, c, s)) << a << " * " << b << " + " << c;
   }
 }
 

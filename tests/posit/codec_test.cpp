@@ -5,6 +5,7 @@
 #include <limits>
 #include <random>
 
+#include "bitwise_reference.hpp"
 #include "oracle.hpp"
 #include "posit/codec.hpp"
 
@@ -279,6 +280,34 @@ TEST(CodecSpot, StochasticRoundingIsUnbiased) {
 TEST(CodecSpot, SignExtendOrdersNarSmallest) {
   const PositSpec s{8, 1};
   EXPECT_LT(sign_extend(s.nar_code(), s), sign_extend(from_double(-1e30, s), s));
+}
+
+// ---------------------------------------------------------------------------
+// decode() parses the regime with a leading-zero count; the per-bit parser
+// is the definition. Every field (the raw k/e/frac view included) must agree
+// on every code of every n <= 16 at es 0..3.
+// ---------------------------------------------------------------------------
+
+TEST(CodecBitwise, DecodeMatchesPerBitParserOnEveryCode) {
+  for (int n = 2; n <= 16; ++n) {
+    for (int es = 0; es <= 3; ++es) {
+      const PositSpec s{n, es};
+      for (std::uint64_t c = 0; c < s.code_count(); ++c) {
+        const auto code = static_cast<std::uint32_t>(c);
+        const Decoded got = decode(code, s);
+        const Decoded want = testing::bitwise_decode(code, s);
+        ASSERT_EQ(got.is_zero, want.is_zero) << s.to_string() << " code " << code;
+        ASSERT_EQ(got.is_nar, want.is_nar) << s.to_string() << " code " << code;
+        ASSERT_EQ(got.neg, want.neg) << s.to_string() << " code " << code;
+        ASSERT_EQ(got.scale, want.scale) << s.to_string() << " code " << code;
+        ASSERT_EQ(got.sig, want.sig) << s.to_string() << " code " << code;
+        ASSERT_EQ(got.k, want.k) << s.to_string() << " code " << code;
+        ASSERT_EQ(got.e, want.e) << s.to_string() << " code " << code;
+        ASSERT_EQ(got.frac, want.frac) << s.to_string() << " code " << code;
+        ASSERT_EQ(got.frac_width, want.frac_width) << s.to_string() << " code " << code;
+      }
+    }
+  }
 }
 
 }  // namespace

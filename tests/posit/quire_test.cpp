@@ -1,9 +1,15 @@
 // quire_test.cpp — exact accumulation invariants of the quire.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <utility>
+#include <vector>
 
+#include "bitwise_reference.hpp"
+#include "posit/add_lut.hpp"
 #include "posit/quire.hpp"
 
 namespace pdnn::posit {
@@ -201,6 +207,187 @@ INSTANTIATE_TEST_SUITE_P(FormatSweep, QuireFormatTest,
                          [](const auto& info) {
                            return "p" + std::to_string(info.param.first) + "_" + std::to_string(info.param.second);
                          });
+
+// ---------------------------------------------------------------------------
+// to_posit() finds the register's top bit with a leading-zero count. The
+// reference sums the same products exactly in a 128-bit integer (operands
+// decoded bit by bit) and normalises bit by bit.
+// ---------------------------------------------------------------------------
+
+TEST(QuireBitwise, RandomToPositMatchesPerBitReference) {
+  // (16,1) over its whole range; (16,2) limited to |scale| <= 20 so that 64
+  // products of two operands still fit the 128-bit reference sum.
+  for (const auto& [s, max_abs_scale] :
+       {std::pair{PositSpec{16, 1}, 28}, std::pair{PositSpec{16, 2}, 20}}) {
+    std::vector<std::uint32_t> pool;
+    int frac_bits = 0;  // operands are exact multiples of 2^-frac_bits
+    for (std::uint64_t c = 1; c < s.code_count(); ++c) {
+      const auto code = static_cast<std::uint32_t>(c);
+      if (code == s.nar_code()) continue;
+      const Decoded d = testing::bitwise_decode(code, s);
+      if (d.scale > max_abs_scale || d.scale < -max_abs_scale) continue;
+      pool.push_back(code);
+      frac_bits = std::max(frac_bits, d.frac_width - d.scale);
+    }
+    ASSERT_LE(max_abs_scale + 1 + frac_bits, 60) << s.to_string();  // products < 2^120
+    std::mt19937_64 rng(61);
+    for (int trial = 0; trial < 2000; ++trial) {
+      const int terms = 1 + static_cast<int>(rng() % 64);
+      Quire q(s);
+      __int128 sum = 0;
+      for (int i = 0; i < terms; ++i) {
+        std::uint32_t a = pool[rng() % pool.size()];
+        const std::uint32_t b = pool[rng() % pool.size()];
+        if (rng() % 8 == 0) a = 0;
+        q.add_product(a, b);
+        sum += static_cast<__int128>(testing::bitwise_fixed(a, s, frac_bits)) *
+               testing::bitwise_fixed(b, s, frac_bits);
+        if (rng() % 4 == 0) {  // cancel the term again, leaving a ragged residue
+          q.sub_product(a, b);
+          sum -= static_cast<__int128>(testing::bitwise_fixed(a, s, frac_bits)) *
+                 testing::bitwise_fixed(b, s, frac_bits);
+        }
+      }
+      ASSERT_EQ(q.to_posit(), testing::bitwise_round_sum(sum, 2 * frac_bits, s))
+          << s.to_string() << " trial " << trial;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The int64 fixed-point dot against the quire it stands in for.
+// ---------------------------------------------------------------------------
+
+std::vector<Unpacked> unpack_all(const std::vector<std::uint32_t>& codes, const PositSpec& s) {
+  std::vector<Unpacked> out(codes.size());
+  for (std::size_t i = 0; i < codes.size(); ++i) out[i] = decode_unpacked(codes[i], s);
+  return out;
+}
+
+std::uint32_t quire_dot(const std::vector<std::uint32_t>& a, const std::vector<std::uint32_t>& b,
+                        const PositSpec& s) {
+  const std::vector<Unpacked> ua = unpack_all(a, s), ub = unpack_all(b, s);
+  Quire q(s);
+  q.accumulate_dot(ua.data(), ub.data(), ua.size());
+  return q.to_posit();
+}
+
+/// The engine's fixed-point route: to_fixed both rows, NaR short-circuit,
+/// then one fixed_dot.
+std::uint32_t int64_dot(const std::vector<std::uint32_t>& a, const std::vector<std::uint32_t>& b,
+                        const PositSpec& s) {
+  const std::vector<Unpacked> ua = unpack_all(a, s), ub = unpack_all(b, s);
+  std::vector<std::int32_t> fa(a.size()), fb(b.size());
+  const bool nar_a = to_fixed(ua.data(), ua.size(), s, fa.data());
+  const bool nar_b = to_fixed(ub.data(), ub.size(), s, fb.data());
+  return nar_a || nar_b ? s.nar_code() : fixed_dot(fa.data(), fb.data(), fa.size(), s);
+}
+
+TEST(FixedDot, FitsExactlyUpToTheInt64Bound) {
+  // k * 2^(2R) < 2^63, R = max_scale - min_scale.
+  EXPECT_TRUE(fixed_dot_fits({8, 1}, 0));
+  EXPECT_TRUE(fixed_dot_fits({8, 1}, (1u << 15) - 1));
+  EXPECT_FALSE(fixed_dot_fits({8, 1}, 1u << 15));
+  EXPECT_TRUE(fixed_dot_fits({8, 0}, (std::size_t{1} << 39) - 1));
+  EXPECT_FALSE(fixed_dot_fits({8, 0}, std::size_t{1} << 39));
+  EXPECT_TRUE(fixed_dot_fits({16, 0}, 127));  // R = 28
+  EXPECT_FALSE(fixed_dot_fits({16, 0}, 128));
+  for (const PositSpec s :
+       {PositSpec{8, 2}, PositSpec{16, 1}, PositSpec{16, 2}, PositSpec{32, 2}}) {
+    EXPECT_FALSE(fixed_dot_fits(s, 1)) << s.to_string();
+  }
+}
+
+TEST(FixedDot, EveryProductPairMatchesQuire) {
+  for (const PositSpec s : {PositSpec{8, 0}, PositSpec{8, 1}}) {
+    std::vector<std::uint32_t> a(1), b(1);
+    for (std::uint32_t ca = 0; ca < 256; ++ca) {
+      for (std::uint32_t cb = 0; cb < 256; ++cb) {
+        a[0] = ca;
+        b[0] = cb;
+        ASSERT_EQ(int64_dot(a, b, s), quire_dot(a, b, s))
+            << s.to_string() << " " << ca << " * " << cb;
+      }
+    }
+  }
+}
+
+TEST(FixedDot, RandomDotsMatchQuireAtResNetLengths) {
+  std::mt19937_64 rng(67);
+  for (const PositSpec s : {PositSpec{8, 0}, PositSpec{8, 1}}) {
+    for (const std::size_t k : {1u, 7u, 8u, 9u, 27u, 72u, 288u}) {
+      ASSERT_TRUE(fixed_dot_fits(s, k));
+      for (int trial = 0; trial < 300; ++trial) {
+        std::vector<std::uint32_t> a(k), b(k);
+        for (std::size_t i = 0; i < k; ++i) {
+          a[i] = static_cast<std::uint32_t>(rng()) & s.mask();
+          b[i] = static_cast<std::uint32_t>(rng()) & s.mask();
+          if (a[i] == s.nar_code()) a[i] = 0;  // zero lanes; NaR is tested below
+          if (b[i] == s.nar_code()) b[i] = 0;
+          if (trial % 3 == 0 && i % 2 == 1) a[i] = (~a[i - 1] + 1u) & s.mask();  // cancellation
+        }
+        ASSERT_EQ(int64_dot(a, b, s), quire_dot(a, b, s))
+            << s.to_string() << " k " << k << " trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(FixedDot, LimitLengthOfMaxposSquaresDoesNotOverflow) {
+  // posit(8,1): maxpos = 2^12 is 2^24 in fixed point, so maxpos^2 = 2^48
+  // and the longest exact dot holds 2^15 - 1 of them: 2^63 - 2^48. One more
+  // term could wrap the int64, so that length must go to the quire.
+  const PositSpec s{8, 1};
+  const std::size_t limit = (std::size_t{1} << 15) - 1;
+  ASSERT_TRUE(fixed_dot_fits(s, limit));
+  ASSERT_FALSE(fixed_dot_fits(s, limit + 1));
+  const std::uint32_t maxpos = s.maxpos_code();
+  const std::uint32_t neg_maxpos = neg(maxpos, s);
+  const std::vector<std::uint32_t> pos_row(limit, maxpos), neg_row(limit, neg_maxpos);
+  EXPECT_EQ(int64_dot(pos_row, pos_row, s), maxpos);
+  EXPECT_EQ(int64_dot(neg_row, neg_row, s), maxpos);
+  EXPECT_EQ(int64_dot(neg_row, pos_row, s), neg_maxpos);
+  EXPECT_EQ(int64_dot(neg_row, pos_row, s), quire_dot(neg_row, pos_row, s));
+}
+
+TEST(FixedDot, ZeroAndNarLanes) {
+  for (const PositSpec s : {PositSpec{8, 0}, PositSpec{8, 1}}) {
+    const std::uint32_t one = from_double(1.0, s);
+    const std::uint32_t half = from_double(0.5, s);
+    const std::vector<std::uint32_t> zeros(9, 0u);
+    std::vector<std::uint32_t> mixed(9, one);
+    mixed[2] = 0;
+    mixed[7] = 0;
+    EXPECT_EQ(int64_dot(zeros, mixed, s), 0u);
+    EXPECT_EQ(int64_dot(mixed, std::vector<std::uint32_t>(9, half), s),
+              quire_dot(mixed, std::vector<std::uint32_t>(9, half), s));
+    std::vector<std::uint32_t> nar_row = mixed;
+    nar_row[4] = s.nar_code();
+    EXPECT_EQ(int64_dot(nar_row, mixed, s), s.nar_code());
+    EXPECT_EQ(int64_dot(mixed, nar_row, s), s.nar_code());
+    EXPECT_EQ(int64_dot(nar_row, zeros, s), s.nar_code());  // NaR * 0 is NaR
+    EXPECT_EQ(quire_dot(nar_row, zeros, s), s.nar_code());
+  }
+}
+
+TEST(FixedDot, AddLutJoinMatchesQuireJoinOnEveryPair) {
+  // The session's residual join in kQuire mode reads the add table: the
+  // exact sum of two posits rounded once, which is what the quire computes.
+  for (int es = 0; es <= 3; ++es) {
+    const PositSpec s{8, es};
+    if (!add_lut_supported(s, RoundMode::kNearestEven)) continue;
+    const AddLut& lut = add_lut(s, RoundMode::kNearestEven);
+    Quire q(s);
+    for (std::uint32_t a = 0; a < 256; ++a) {
+      for (std::uint32_t b = 0; b < 256; ++b) {
+        q.clear();
+        q.add_posit(a);
+        q.add_posit(b);
+        ASSERT_EQ(lut.at(a, b), q.to_posit()) << s.to_string() << " " << a << " + " << b;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace pdnn::posit

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #ifdef _OPENMP
@@ -376,6 +377,41 @@ TEST(PositSession, ThreadCountInvariance) {
     }
     omp_set_num_threads(restore);
   }
+#else
+  GTEST_SKIP() << "built without OpenMP";
+#endif
+}
+
+TEST(PositSession, ElementwiseStepsThreadCountInvariantAroundTeamThreshold) {
+#ifdef _OPENMP
+  // BN and the residual join go team-parallel above 512 elements. A block of
+  // 2 channels on 4x4 planes puts batch 15 (480 elements per step) below the
+  // threshold and batch 17 (544) above it; 3 threads split the collapsed
+  // (image, channel) range unevenly. Both the table join (8-bit) and the
+  // quire join (16-bit), and the LUT and scalar BN, are covered.
+  Rng rng(149);
+  nn::Sequential net("net");
+  net.add(std::make_unique<nn::ResidualBlock>("res", 2, 2, 1, rng));
+  const Tensor warm = Tensor::randn({6, 2, 4, 4}, rng);
+  net.forward(warm, true);
+  const int restore = omp_get_max_threads();
+  for (const PositSpec conv : {PositSpec{8, 1}, PositSpec{16, 1}}) {
+    for (const AccumMode mode : mode_grid()) {
+      const OracleFormats f{conv, {16, 1}, conv, mode};
+      for (const std::size_t batch : {15u, 17u}) {
+        const Tensor x = Tensor::randn({batch, 2, 4, 4}, rng);
+        const Tensor want = oracle_forward(net, x, f);
+        for (const int threads : {1, 3, 4}) {
+          omp_set_num_threads(threads);
+          PositSession session = PositSession::compile(net, config_for(f));
+          EXPECT_TRUE(bit_identical(session.run(x), want))
+              << conv.to_string() << " mode " << static_cast<int>(mode) << " batch " << batch
+              << " threads " << threads;
+        }
+      }
+    }
+  }
+  omp_set_num_threads(restore);
 #else
   GTEST_SKIP() << "built without OpenMP";
 #endif

@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <vector>
 
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
@@ -241,6 +243,25 @@ TEST(CrossEntropy, PerfectPredictionLowLoss) {
   EXPECT_LT(loss, 1e-3);
   EXPECT_EQ(count_correct(logits, {1, 2}), 2u);
   EXPECT_EQ(count_correct(logits, {0, 2}), 1u);
+}
+
+TEST(CrossEntropy, RejectsBadLabelsBeforeTouchingGrad) {
+  Rng rng(10);
+  const Tensor logits = Tensor::randn({3, 4}, rng);
+  for (const std::vector<int>& labels :
+       {std::vector<int>{0, 4, 1}, std::vector<int>{0, -1, 1}, std::vector<int>{0, 1},
+        std::vector<int>{0, 1, 2, 3}}) {
+    Tensor grad = Tensor::full({1}, 7.0f);
+    EXPECT_THROW(cross_entropy(logits, labels, &grad), std::invalid_argument);
+    EXPECT_EQ(grad.shape(), Shape({1}));  // untouched
+    EXPECT_EQ(grad[0], 7.0f);
+  }
+  // count_correct only compares against the argmax, so a label outside the
+  // class range is a miss, but the label count must still match the rows.
+  EXPECT_EQ(count_correct(logits, {9, -3, 99}), 0u);
+  EXPECT_THROW(count_correct(logits, {0, 1}), std::invalid_argument);
+  EXPECT_THROW(count_correct(logits, {0, 1, 2, 3}), std::invalid_argument);
+  EXPECT_NO_THROW(cross_entropy(logits, {0, 3, 2}, nullptr));
 }
 
 TEST(Stats, MomentsAndLog2Center) {

@@ -434,6 +434,34 @@ TEST(TrainTrainer, StepErrorOnAnyWorkerThrowsAndTrainerStaysUsable) {
   }
 }
 
+TEST(TrainTrainer, OutOfRangeLabelThrowsAndTrainerStaysUsable) {
+  // Labels are validated against the logits width inside each shard's loss:
+  // a bad label on either worker's shard (micro-batch 4: rows 0-3 run on the
+  // caller, rows 4-7 on the pool thread) throws from step(), and nothing of
+  // the failed step is applied.
+  TrainerConfig cfg;
+  cfg.batch_size = 8;
+  cfg.micro_batch = 4;
+  cfg.workers = 2;
+  Rng rng(74), rng2(74);
+  auto net = nn::mlp(4, 8, 3, 1, rng);
+  auto fresh_net = nn::mlp(4, 8, 3, 1, rng2);
+  Rng data_rng(901);
+  const Tensor x = Tensor::randn({8, 4}, data_rng);
+  const std::vector<int> good{0, 1, 2, 0, 1, 2, 0, 1};
+  Trainer t(*net, cfg);
+  std::vector<int> bad = good;
+  bad[6] = 3;  // == classes, on the pool thread's shard
+  EXPECT_THROW(t.step(x, bad), std::invalid_argument);
+  bad = good;
+  bad[1] = -1;  // on the caller's shard
+  EXPECT_THROW(t.step(x, bad), std::invalid_argument);
+  t.step(x, good);
+  Trainer fresh(*fresh_net, cfg);
+  fresh.step(x, good);
+  expect_nets_identical(*net, *fresh_net, "after rejected labels");
+}
+
 /// The kernel thread ids of this process; empty when /proc is absent.
 std::set<long> task_ids() {
   std::set<long> ids;
