@@ -1,14 +1,14 @@
 // quickstart — a five-minute tour of the library's public API:
-// posit values, the quire, Algorithm 1 quantization, and scaling (Eq. 2/3).
+// posit arithmetic on codes, the quire, Algorithm 1 quantization, and scaling (Eq. 2/3).
 //
-// Build & run:  cmake -B build -G Ninja && cmake --build build
-//               ./build/examples/quickstart
+// Build & run:  cmake -B build -DPDNN_BUILD_EXAMPLES=ON && cmake --build build
+//               ./build/examples/example_quickstart
+#include <cstdint>
 #include <cstdio>
 
 #include "exec/float_backend.hpp"
 #include "nn/resnet.hpp"
-#include "posit/math.hpp"
-#include "posit/posit.hpp"
+#include "posit/arith.hpp"
 #include "posit/quire.hpp"
 #include "posit/tables.hpp"
 #include "quant/posit_session.hpp"
@@ -18,14 +18,15 @@
 int main() {
   using namespace pdnn;
 
-  // --- 1. posit values behave like numbers --------------------------------
-  using posit::Posit16_1;
-  const Posit16_1 a{3.25}, b{-0.125};
-  std::printf("a = %g, b = %g\n", a.value(), b.value());
-  std::printf("a+b = %g, a*b = %g, a/b = %g, sqrt(a) = %g\n", (a + b).value(), (a * b).value(),
-              (a / b).value(), posit::sqrt(a).value());
-  std::printf("posit(16,1): maxpos = %g, minpos = %g\n\n", Posit16_1::maxpos().value(),
-              Posit16_1::minpos().value());
+  // --- 1. posit arithmetic on (n, es) codes ------------------------------
+  const posit::PositSpec p161{16, 1};
+  const std::uint32_t a = posit::from_double(3.25, p161), b = posit::from_double(-0.125, p161);
+  const auto val = [&](std::uint32_t code) { return posit::to_double(code, p161); };
+  std::printf("a = %g, b = %g\n", val(a), val(b));
+  std::printf("a+b = %g, a*b = %g, a/b = %g\n", val(posit::add(a, b, p161)),
+              val(posit::mul(a, b, p161)), val(posit::div(a, b, p161)));
+  std::printf("posit(16,1): maxpos = %g, minpos = %g\n\n", posit::maxpos_value(p161),
+              posit::minpos_value(p161));
 
   // --- 2. tapered precision: dense near 1, sparse at the extremes ----------
   const posit::PositSpec p81{8, 1};

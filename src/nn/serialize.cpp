@@ -1,9 +1,13 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace pdnn::nn {
 
@@ -78,6 +82,40 @@ std::map<std::string, Param*> params_by_name(Sequential& net) {
   return map;
 }
 
+/// Validate, then commit: every record of the stream is parsed into a
+/// staging tensor first — `read_value(is, ns)` reads one record's payload
+/// after its name and shape — and only a stream that names each parameter
+/// exactly once, with its shape, is copied into the model and version-bumped.
+/// Any failure throws with every parameter's value and version untouched.
+/// Shapes are checked against the model before a payload is allocated.
+template <typename ReadValue>
+void load_staged(std::istream& is, const char (&magic)[8], Sequential& net,
+                 ReadValue&& read_value) {
+  expect_magic(is, magic);
+  const auto count = read_pod<std::uint64_t>(is);
+  const auto by_name = params_by_name(net);
+  if (count != by_name.size()) throw std::runtime_error("checkpoint: parameter count mismatch");
+  std::vector<std::pair<Param*, tensor::Tensor>> staged;
+  staged.reserve(by_name.size());
+  std::set<std::string> seen;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const NameShape ns = read_name_shape(is);
+    const auto it = by_name.find(ns.name);
+    if (it == by_name.end()) throw std::runtime_error("checkpoint: unknown parameter " + ns.name);
+    if (!seen.insert(ns.name).second) {
+      throw std::runtime_error("checkpoint: duplicate parameter " + ns.name);
+    }
+    if (it->second->value.shape() != ns.shape) {
+      throw std::runtime_error("checkpoint: shape mismatch for " + ns.name);
+    }
+    staged.emplace_back(it->second, read_value(is, ns));
+  }
+  for (auto& [param, value] : staged) {
+    std::copy(value.data(), value.data() + value.numel(), param->value.data());
+    param->mark_updated();
+  }
+}
+
 }  // namespace
 
 void save_parameters(std::ostream& os, Sequential& net) {
@@ -91,22 +129,13 @@ void save_parameters(std::ostream& os, Sequential& net) {
 }
 
 void load_parameters(std::istream& is, Sequential& net) {
-  expect_magic(is, kMagicF32);
-  const auto count = read_pod<std::uint64_t>(is);
-  auto by_name = params_by_name(net);
-  if (count != by_name.size()) throw std::runtime_error("checkpoint: parameter count mismatch");
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const NameShape ns = read_name_shape(is);
-    const auto it = by_name.find(ns.name);
-    if (it == by_name.end()) throw std::runtime_error("checkpoint: unknown parameter " + ns.name);
-    if (it->second->value.shape() != ns.shape) {
-      throw std::runtime_error("checkpoint: shape mismatch for " + ns.name);
-    }
-    is.read(reinterpret_cast<char*>(it->second->value.data()),
-            static_cast<std::streamsize>(it->second->value.numel() * sizeof(float)));
-    if (!is) throw std::runtime_error("checkpoint: truncated data for " + ns.name);
-    it->second->mark_updated();
-  }
+  load_staged(is, kMagicF32, net, [](std::istream& in, const NameShape& ns) {
+    tensor::Tensor value(ns.shape);
+    in.read(reinterpret_cast<char*>(value.data()),
+            static_cast<std::streamsize>(value.numel() * sizeof(float)));
+    if (!in) throw std::runtime_error("checkpoint: truncated data for " + ns.name);
+    return value;
+  });
 }
 
 void save_parameters_file(const std::string& path, Sequential& net) {
@@ -150,27 +179,17 @@ std::size_t save_parameters_posit(std::ostream& os, Sequential& net, const posit
 }
 
 void load_parameters_posit(std::istream& is, Sequential& net) {
-  expect_magic(is, kMagicPosit);
-  const auto count = read_pod<std::uint64_t>(is);
-  auto by_name = params_by_name(net);
-  if (count != by_name.size()) throw std::runtime_error("checkpoint: parameter count mismatch");
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const NameShape ns = read_name_shape(is);
-    const auto n = static_cast<int>(read_pod<std::uint32_t>(is));
-    const auto es = static_cast<int>(read_pod<std::uint32_t>(is));
+  load_staged(is, kMagicPosit, net, [](std::istream& in, const NameShape& ns) {
+    const auto n = static_cast<int>(read_pod<std::uint32_t>(in));
+    const auto es = static_cast<int>(read_pod<std::uint32_t>(in));
     const posit::PositSpec spec{n, es};
     spec.validate();
-    const auto bytes = read_pod<std::uint64_t>(is);
-    const auto it = by_name.find(ns.name);
-    if (it == by_name.end()) throw std::runtime_error("checkpoint: unknown parameter " + ns.name);
-    if (it->second->value.shape() != ns.shape) {
-      throw std::runtime_error("checkpoint: shape mismatch for " + ns.name);
-    }
+    const auto bytes = read_pod<std::uint64_t>(in);
     posit::PackedPositTensor packed(spec, ns.shape);
     if (bytes != packed.byte_size()) throw std::runtime_error("checkpoint: payload size mismatch");
     std::vector<std::uint8_t> buf(static_cast<std::size_t>(bytes));
-    is.read(reinterpret_cast<char*>(buf.data()), static_cast<std::streamsize>(buf.size()));
-    if (!is) throw std::runtime_error("checkpoint: truncated posit payload");
+    in.read(reinterpret_cast<char*>(buf.data()), static_cast<std::streamsize>(buf.size()));
+    if (!in) throw std::runtime_error("checkpoint: truncated posit payload");
     for (std::size_t e = 0; e < packed.numel(); ++e) {
       std::uint32_t code = 0;
       const std::size_t bit0 = e * static_cast<std::size_t>(spec.n);
@@ -180,9 +199,8 @@ void load_parameters_posit(std::istream& is, Sequential& net) {
       }
       packed.set_code(e, code);
     }
-    it->second->value = packed.unpack();
-    it->second->mark_updated();
-  }
+    return packed.unpack();
+  });
 }
 
 }  // namespace pdnn::nn

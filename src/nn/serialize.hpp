@@ -20,9 +20,11 @@ namespace pdnn::nn {
 ///   u32 name length | name bytes | u32 rank | u64 dims[rank] | f32 data[]
 void save_parameters(std::ostream& os, Sequential& net);
 
-/// Restores parameters by name; throws std::runtime_error on missing params,
-/// shape mismatch, or a malformed stream. Extra params in the stream are an
-/// error too (checkpoint and architecture must agree).
+/// Restores parameters by name; throws std::runtime_error on missing,
+/// unknown or repeated params, shape mismatch, or a malformed or truncated
+/// stream (checkpoint and architecture must agree). The whole stream is
+/// validated before any parameter is written: a load that throws leaves
+/// every value and Param::version as it was.
 void load_parameters(std::istream& is, Sequential& net);
 
 /// Convenience file wrappers.
@@ -32,6 +34,7 @@ void load_parameters_file(const std::string& path, Sequential& net);
 /// Posit-compressed checkpoint: every parameter packed to (n, es) codes.
 /// Returns total payload bytes (the model-size number of Section IV).
 std::size_t save_parameters_posit(std::ostream& os, Sequential& net, const posit::PositSpec& spec);
+/// Same validate-then-commit contract as load_parameters.
 void load_parameters_posit(std::istream& is, Sequential& net);
 
 }  // namespace pdnn::nn

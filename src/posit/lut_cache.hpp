@@ -2,9 +2,9 @@
 //
 // Steady-state engine code resolves its LUT pointers once at compile/plan
 // time (quant::detail::resolve_luts, PositSession::compile), but ad-hoc
-// callers — the free-function engine entry points, tests, benches — hit the
-// cache per call. Under a serving worker pool those lookups used to contend
-// on one global std::mutex for every call; the fast path below is a plain
+// callers — tests and benches — hit the cache per call. Under a serving
+// worker pool those lookups used to contend on one global std::mutex for
+// every call; the fast path below is a plain
 // acquire load from a fixed table of atomic pointers, so a constructed LUT
 // is reached without any lock. The mutex now guards only first-touch
 // construction (and the overflow map for specs outside the fast-path index

@@ -1,6 +1,5 @@
-// engine_gemm.hpp — internal decode-once GEMM shared by the free-function
-// engine entry points (posit_linear / posit_conv2d) and the compiled
-// PositSession. Not part of the public API.
+// engine_gemm.hpp — internal decode-once GEMM behind the compiled
+// PositSession's linear and conv steps. Not part of the public API.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +23,7 @@ struct EngineLuts {
   const posit::FmaLut* fma = nullptr;
 };
 
-/// Resolve the tables once per call/compile (takes the process-wide LUT
+/// Resolve the tables once per compile (takes the process-wide LUT
 /// cache lock; never call on the per-row hot path).
 EngineLuts resolve_luts(const posit::PositSpec& spec, AccumMode mode);
 
@@ -61,8 +60,8 @@ EngineLuts resolve_luts(const posit::PositSpec& spec, AccumMode mode);
 /// fixed-point dot is exact, so its summation order cannot matter).
 ///
 /// `quire_pool` must hold at least exec::omp_max_threads() quires of `w.spec` when
-/// mode == kQuire (the session's pre-planned per-thread arenas; the free
-/// functions build a transient pool). Ignored for the other modes.
+/// mode == kQuire (the session's pre-planned per-thread arenas). Ignored for
+/// the other modes.
 void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTensor& bias,
                  std::size_t rows, std::size_t k, std::size_t cols, AccumMode mode, float* out,
                  std::size_t row_stride, std::size_t col_stride, const EngineLuts& luts,

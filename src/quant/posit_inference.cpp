@@ -218,18 +218,6 @@ void encode_conv_panel(const float* cols, std::size_t patch, std::size_t pixels,
 
 namespace {
 
-/// Transient per-thread quire pool for the free-function entry points (the
-/// session plans its arenas once at compile instead).
-std::vector<posit::Quire> make_quire_pool(const PositSpec& spec, AccumMode mode) {
-  std::vector<posit::Quire> pool;
-  if (mode == AccumMode::kQuire) {
-    const int threads = exec::omp_max_threads();
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(spec);
-  }
-  return pool;
-}
-
 // ---------------------------------------------------------------------------
 // Retained scalar reference path (pre-engine implementation, verbatim
 // semantics): coded operands, a full decode per multiply-accumulate, weights
@@ -292,78 +280,6 @@ void encode_pack_into(const float* src, std::size_t count, const PositSpec& spec
   }
   out.packed.assign(posit::packed_capacity(count, spec), 0u);
   posit::pack_codes(codes.data(), 0, count, spec, out.packed.data());
-}
-
-Tensor posit_linear(const Tensor& x, const EncodedTensor& w, const EncodedTensor& bias,
-                    AccumMode mode) {
-  if (x.shape().rank() != 2 || w.shape.rank() != 2) {
-    throw std::invalid_argument("posit_linear: rank mismatch");
-  }
-  const std::size_t n = x.shape()[0], in = x.shape()[1], out = w.shape[0];
-  if (w.shape[1] != in) throw std::invalid_argument("posit_linear: shape mismatch");
-  if (!bias.empty() && bias.numel() != out) {
-    throw std::invalid_argument("posit_linear: bias shape mismatch");
-  }
-  if (!bias.empty() && !(bias.spec == w.spec)) {
-    throw std::invalid_argument("posit_linear: bias/weight spec mismatch");
-  }
-  const EncodedTensor xe = encode_pack(x, w.spec);
-  const detail::EngineLuts luts = detail::resolve_luts(w.spec, mode);
-  std::vector<posit::Quire> pool = make_quire_pool(w.spec, mode);
-  Tensor y({n, out});
-  detail::engine_gemm(xe, w, bias, n, in, out, mode, y.data(), out, 1, luts, pool.data());
-  return y;
-}
-
-Tensor posit_linear(const Tensor& x, const Tensor& w, const Tensor& bias, const PositSpec& spec,
-                    AccumMode mode) {
-  const EncodedTensor we = encode_pack(w, spec);
-  EncodedTensor be;
-  be.spec = spec;
-  if (bias.numel() > 0) be = encode_pack(bias, spec);
-  return posit_linear(x, we, be, mode);
-}
-
-Tensor posit_conv2d(const Tensor& x, const EncodedTensor& w, const EncodedTensor& bias,
-                    const tensor::Conv2dGeom& geom, AccumMode mode) {
-  geom.validate();
-  const PositSpec spec = w.spec;
-  const std::size_t batch = x.shape()[0];
-  const std::size_t oh = geom.out_h(), ow = geom.out_w();
-  const std::size_t pixels = oh * ow;
-  const std::size_t patch = geom.patch();
-  if (w.numel() != geom.out_c * patch) throw std::invalid_argument("posit_conv2d: weight mismatch");
-  if (!bias.empty() && bias.numel() != geom.out_c) {
-    throw std::invalid_argument("posit_conv2d: bias shape mismatch");
-  }
-  if (!bias.empty() && !(bias.spec == spec)) {
-    throw std::invalid_argument("posit_conv2d: bias/weight spec mismatch");
-  }
-
-  const detail::EngineLuts luts = detail::resolve_luts(spec, mode);
-  std::vector<posit::Quire> pool = make_quire_pool(spec, mode);
-  Tensor out({batch, geom.out_c, oh, ow});
-  Tensor cols({patch, pixels});
-  EncodedTensor panel;
-  for (std::size_t nidx = 0; nidx < batch; ++nidx) {
-    tensor::im2col(x.data() + nidx * geom.in_c * geom.in_h * geom.in_w, geom, cols.data());
-    // Encode the unfolded image once, transposed so each output pixel's patch
-    // is contiguous (the decode-once activation panel).
-    detail::encode_conv_panel(cols.data(), patch, pixels, spec, panel);
-    // Output plane for this image is [out_c, pixels]: column stride `pixels`.
-    detail::engine_gemm(panel, w, bias, pixels, patch, geom.out_c, mode,
-                        out.data() + nidx * geom.out_c * pixels, 1, pixels, luts, pool.data());
-  }
-  return out;
-}
-
-Tensor posit_conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
-                    const tensor::Conv2dGeom& geom, const PositSpec& spec, AccumMode mode) {
-  const EncodedTensor we = encode_pack(w, spec);
-  EncodedTensor be;
-  be.spec = spec;
-  if (bias.numel() > 0) be = encode_pack(bias, spec);
-  return posit_conv2d(x, we, be, geom, mode);
 }
 
 // ---------------------------------------------------------------------------

@@ -24,11 +24,13 @@
 // accumulation mode, to single-threaded runs at any thread count, and to
 // the scalar decode path (PDNN_NO_AVX2=1).
 //
-// The free functions below encode their weights per call. Whole-network
-// inference lives in quant::PositSession (posit_session.hpp), which compiles
-// a module graph once — session-owned weight panels, per-thread quire
-// arenas, per-layer precision overrides — and runs allocation-free in steady
-// state.
+// This header holds the engine's shared vocabulary (AccumMode, the encode
+// rounding, the packed EncodedTensor panel) and the scalar reference
+// oracles. The one way to run posit inference is quant::PositSession
+// (posit_session.hpp), which compiles a module graph once — session-owned
+// weight panels, per-thread quire arenas, per-layer precision overrides — and
+// runs allocation-free in steady state; a single layer is a one-layer
+// Sequential.
 #pragma once
 
 #include <cstdint>
@@ -85,34 +87,13 @@ EncodedTensor encode_pack(const tensor::Tensor& t, const posit::PositSpec& spec)
 void encode_pack_into(const float* src, std::size_t count, const posit::PositSpec& spec,
                       EncodedTensor& out);
 
-/// Dense posit matrix-vector building block: y = x W^T + b, all posit.
-/// x is [N, in] (N = 0 yields an empty [0, out] result), w is [out, in],
-/// bias optional ([out] or empty). Encodes the weights per call; prefer the
-/// EncodedTensor overload (or a PositSession, which owns the panels) when
-/// the weights are reused.
-tensor::Tensor posit_linear(const tensor::Tensor& x, const tensor::Tensor& w, const tensor::Tensor& bias,
-                            const posit::PositSpec& spec, AccumMode mode);
-
-/// Engine form: weights (and optional bias) already encoded+unpacked.
-tensor::Tensor posit_linear(const tensor::Tensor& x, const EncodedTensor& w, const EncodedTensor& bias,
-                            AccumMode mode);
-
-/// Posit convolution: input [N,C,H,W] (N = 0 yields an empty result), weight
-/// [O,I,KH,KW] (rectangular windows via geom.kernel_w), optional
-/// per-output-channel bias ([O] or empty). Throws std::invalid_argument on
-/// degenerate geometry (see tensor::Conv2dGeom::validate).
-tensor::Tensor posit_conv2d(const tensor::Tensor& x, const tensor::Tensor& w, const tensor::Tensor& bias,
-                            const tensor::Conv2dGeom& geom, const posit::PositSpec& spec, AccumMode mode);
-
-/// Engine form: weights/bias already encoded+unpacked.
-tensor::Tensor posit_conv2d(const tensor::Tensor& x, const EncodedTensor& w, const EncodedTensor& bias,
-                            const tensor::Conv2dGeom& geom, AccumMode mode);
-
 // ---------------------------------------------------------------------------
 // Retained scalar reference path (the pre-engine implementation): coded
 // operands, full decode per multiply-accumulate, weights re-encoded on every
 // call, serial triple loop. This is the bit-exactness oracle for
 // quant.posit_engine and the baseline bench_posit measures speedups against.
+// Degenerate conv geometry throws std::invalid_argument
+// (tensor::Conv2dGeom::validate).
 // ---------------------------------------------------------------------------
 
 tensor::Tensor posit_linear_reference(const tensor::Tensor& x, const tensor::Tensor& w,

@@ -24,9 +24,10 @@
 // exec::FloatBackend executes the identical plan in FP32 — the session is
 // one of two pluggable backends over one lowering, not a parallel stack.
 //
-// Outputs are bit-identical to chaining the per-layer engine entry points
-// (and hence to the scalar reference) at every spec, accumulation mode, and
-// thread count.
+// Outputs are bit-identical to chaining the scalar reference layers
+// (posit_linear_reference / posit_conv2d_reference, posit BN and join
+// oracles) at every spec, accumulation mode, and thread count. A single
+// layer runs as a one-layer Sequential.
 //
 // Threading: GEMM steps split output columns (engine_gemm.hpp). The
 // elementwise posit steps — eval BN and the residual join — split their
@@ -70,8 +71,10 @@ struct LayerOverride {
 struct SessionConfig {
   posit::PositSpec spec{16, 1};
   AccumMode mode = AccumMode::kQuire;
-  std::map<nn::LayerClass, LayerOverride> by_class;
-  std::map<std::string, LayerOverride> by_name;
+  // Default member initializers let SessionConfig{spec, mode} leave both
+  // maps empty without tripping -Wmissing-field-initializers.
+  std::map<nn::LayerClass, LayerOverride> by_class{};
+  std::map<std::string, LayerOverride> by_name{};
 
   /// The session equivalent of QuantConfig's per-class forward formats
   /// (conv/bn/linear), under one accumulation mode.

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "data/synthetic.hpp"
 #include "nn/resnet.hpp"
@@ -13,6 +15,77 @@ namespace {
 
 using tensor::Rng;
 using tensor::Tensor;
+
+/// Byte offset where each parameter record starts in a checkpoint blob, in
+/// params() order, then the blob's end. A record opens with its u32 name
+/// length followed by the name.
+std::vector<std::size_t> record_starts(const std::string& blob, Sequential& net) {
+  std::vector<std::size_t> starts;
+  std::size_t from = 16;  // magic + u64 count
+  for (const Param* p : net.params()) {
+    const std::size_t at = blob.find(p->name, from);
+    starts.push_back(at - sizeof(std::uint32_t));
+    from = at + p->name.size();
+  }
+  starts.push_back(blob.size());
+  return starts;
+}
+
+/// Every parameter's version and value bytes.
+std::vector<std::string> snapshot(Sequential& net) {
+  std::vector<std::string> out;
+  for (const Param* p : net.params()) {
+    std::string s(reinterpret_cast<const char*>(&p->version), sizeof(p->version));
+    s.append(reinterpret_cast<const char*>(p->value.data()), p->value.numel() * sizeof(float));
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+/// A stream that repeats fc2.weight (right count, head.weight missing) and one
+/// cut inside its second tensor must both throw, leaving every parameter's
+/// value and version as they were; the intact stream then loads.
+void expect_bad_streams_leave_model_untouched(bool posit_format) {
+  Rng rng(8);
+  auto src = mlp(2, 4, 2, 3, rng);
+  auto dst = mlp(2, 4, 2, 3, rng);
+  std::stringstream ss;
+  if (posit_format) {
+    save_parameters_posit(ss, *src, posit::PositSpec{8, 1});
+  } else {
+    save_parameters(ss, *src);
+  }
+  const std::string blob = ss.str();
+  const std::vector<std::size_t> starts = record_starts(blob, *src);
+  const auto params = src->params();
+  const auto index_of = [&](const std::string& name) {
+    std::size_t i = 0;
+    while (params[i]->name != name) ++i;
+    return i;
+  };
+  const std::size_t fc2 = index_of("fc2.weight"), head = index_of("head.weight");
+  ASSERT_LT(fc2, head);
+  const std::string repeated = blob.substr(0, starts[head]) +
+                               blob.substr(starts[fc2], starts[fc2 + 1] - starts[fc2]) +
+                               blob.substr(starts[head + 1]);
+  const std::string truncated = blob.substr(0, starts[2] - 2);
+  const auto load = [&](const std::string& bytes) {
+    std::stringstream in(bytes);
+    if (posit_format) {
+      load_parameters_posit(in, *dst);
+    } else {
+      load_parameters(in, *dst);
+    }
+  };
+  for (const std::string* bad : {&repeated, &truncated}) {
+    const std::vector<std::string> before = snapshot(*dst);
+    EXPECT_THROW(load(*bad), std::runtime_error) << (bad == &repeated ? "repeated" : "truncated");
+    EXPECT_EQ(snapshot(*dst), before) << (bad == &repeated ? "repeated" : "truncated");
+  }
+  const std::vector<std::string> before = snapshot(*dst);
+  load(blob);
+  EXPECT_NE(snapshot(*dst), before);
+}
 
 TEST(Serialize, Fp32RoundTripBitExact) {
   Rng rng(1);
@@ -77,6 +150,14 @@ TEST(Serialize, CorruptStreamThrows) {
   data.resize(data.size() / 2);
   std::stringstream half(data);
   EXPECT_THROW(load_parameters(half, *net), std::runtime_error);
+}
+
+TEST(Serialize, RepeatedOrTruncatedFp32StreamLeavesModelUntouched) {
+  expect_bad_streams_leave_model_untouched(/*posit_format=*/false);
+}
+
+TEST(Serialize, RepeatedOrTruncatedPositStreamLeavesModelUntouched) {
+  expect_bad_streams_leave_model_untouched(/*posit_format=*/true);
 }
 
 TEST(Serialize, PositCheckpointQuantizesAndShrinks) {

@@ -12,7 +12,6 @@
 
 #include "bitwise_reference.hpp"
 #include "posit/arith.hpp"
-#include "posit/posit.hpp"
 #include "posit/unpacked.hpp"
 
 namespace pdnn::posit {
@@ -330,39 +329,17 @@ TEST(UnpackedWideFormats, RoundTripMatchesDecodeOnRandomCodes) {
 }
 
 // ---------------------------------------------------------------------------
-// The value-typed wrapper.
+// Format extremes.
 // ---------------------------------------------------------------------------
-TEST(PositWrapper, BasicArithmetic) {
-  const Posit16_1 a{3.25}, b{-0.125};
-  EXPECT_DOUBLE_EQ(static_cast<double>(a + b), 3.125);
-  EXPECT_DOUBLE_EQ(static_cast<double>(a * b), -0.40625);
-  EXPECT_DOUBLE_EQ(static_cast<double>(a - b), 3.375);
-  EXPECT_DOUBLE_EQ(static_cast<double>(-b), 0.125);
-  EXPECT_TRUE(b < a);
-  EXPECT_TRUE(a >= a);
-  EXPECT_FALSE(a.is_nar());
-  EXPECT_TRUE(Posit16_1::nar().is_nar());
-  EXPECT_TRUE(Posit16_1{}.is_zero());
-}
-
-TEST(PositWrapper, CompoundAssignment) {
-  Posit8_1 x{2.0};
-  x += Posit8_1{1.0};
-  EXPECT_DOUBLE_EQ(static_cast<double>(x), 3.0);
-  x *= Posit8_1{2.0};
-  EXPECT_DOUBLE_EQ(static_cast<double>(x), 6.0);
-  x -= Posit8_1{4.0};
-  EXPECT_DOUBLE_EQ(static_cast<double>(x), 2.0);
-  x /= Posit8_1{8.0};
-  EXPECT_DOUBLE_EQ(static_cast<double>(x), 0.25);
-}
-
-TEST(PositWrapper, MaxposMinposMatchPaperFormula) {
+TEST(PositSpecExtremes, MaxposMinposMatchPaperFormula) {
   // maxpos = useed^(n-2), minpos = useed^(2-n)  (Section II-B).
-  EXPECT_DOUBLE_EQ(Posit8_1::maxpos().value(), std::pow(4.0, 6));
-  EXPECT_DOUBLE_EQ(Posit8_1::minpos().value(), std::pow(4.0, -6));
-  EXPECT_DOUBLE_EQ(Posit8_2::maxpos().value(), std::pow(16.0, 6));
-  EXPECT_DOUBLE_EQ(Posit16_2::maxpos().value(), std::pow(16.0, 14));
+  const PositSpec p81{8, 1}, p82{8, 2}, p162{16, 2};
+  EXPECT_DOUBLE_EQ(to_double(p81.maxpos_code(), p81), std::pow(4.0, 6));
+  EXPECT_DOUBLE_EQ(to_double(p81.minpos_code(), p81), std::pow(4.0, -6));
+  EXPECT_DOUBLE_EQ(to_double(p82.maxpos_code(), p82), std::pow(16.0, 6));
+  EXPECT_DOUBLE_EQ(to_double(p82.minpos_code(), p82), std::pow(16.0, -6));
+  EXPECT_DOUBLE_EQ(to_double(p162.maxpos_code(), p162), std::pow(16.0, 14));
+  EXPECT_DOUBLE_EQ(to_double(p162.minpos_code(), p162), std::pow(16.0, -14));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// posit_engine_test.cpp — the decode-once engine against the retained scalar
-// reference: exact bit-equality over the full spec grid and every
-// accumulation mode, thread-count invariance, and the engine edge cases
-// (empty batches, missing bias, 1x1 windows, degenerate geometry).
+// posit_engine_test.cpp — the decode-once engine, run as one-layer
+// PositSessions, against the retained scalar reference: exact bit-equality
+// over the full spec grid and every accumulation mode, thread-count
+// invariance, and the engine edge cases (empty batches, missing bias, 1x1
+// windows, degenerate geometry).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,14 +14,17 @@
 #endif
 
 #include "nn/resnet.hpp"
+#include "one_layer_session.hpp"
 #include "quant/posit_inference.hpp"
-#include "quant/posit_session.hpp"
 #include "tensor/ops.hpp"
 
 namespace pdnn::quant {
 namespace {
 
 using posit::PositSpec;
+using testing::conv_net;
+using testing::linear_net;
+using testing::run_session;
 using tensor::Rng;
 using tensor::Tensor;
 
@@ -49,10 +53,11 @@ TEST(PositEngine, LinearBitIdenticalToScalarReferenceAcrossSpecGridAndModes) {
   const Tensor x = Tensor::randn({5, 37}, rng);
   const Tensor w = Tensor::randn({9, 37}, rng, 0.4f);
   const Tensor bias = Tensor::randn({9}, rng, 0.2f);
+  auto net = linear_net(w, bias);
   for (const PositSpec& spec : spec_grid()) {
     for (const AccumMode mode : mode_grid()) {
       const Tensor ref = posit_linear_reference(x, w, bias, spec, mode);
-      const Tensor got = posit_linear(x, w, bias, spec, mode);
+      const Tensor got = run_session(*net, x, spec, mode);
       EXPECT_TRUE(bit_identical(got, ref))
           << spec.to_string() << " mode " << static_cast<int>(mode);
     }
@@ -64,9 +69,11 @@ TEST(PositEngine, LinearWithoutBiasMatchesReference) {
   const Tensor x = Tensor::randn({3, 65}, rng);
   const Tensor w = Tensor::randn({4, 65}, rng);
   const Tensor none;
+  // nn::Linear always has a bias: a zero one must match the bias-free oracle.
+  auto net = linear_net(w, none);
   for (const PositSpec& spec : spec_grid()) {
     for (const AccumMode mode : mode_grid()) {
-      EXPECT_TRUE(bit_identical(posit_linear(x, w, none, spec, mode),
+      EXPECT_TRUE(bit_identical(run_session(*net, x, spec, mode),
                                 posit_linear_reference(x, w, none, spec, mode)))
           << spec.to_string() << " mode " << static_cast<int>(mode);
     }
@@ -81,10 +88,11 @@ TEST(PositEngine, ConvBitIdenticalToScalarReferenceWithBiasAndRectKernel) {
   const Tensor x = Tensor::randn({2, 3, 9, 8}, rng);
   const Tensor w = Tensor::randn({4, 3, 3, 2}, rng, 0.3f);
   const Tensor bias = Tensor::randn({4}, rng, 0.2f);
+  auto net = conv_net(g, w, bias);
   for (const PositSpec& spec : spec_grid()) {
     for (const AccumMode mode : mode_grid()) {
       const Tensor ref = posit_conv2d_reference(x, w, bias, g, spec, mode);
-      const Tensor got = posit_conv2d(x, w, bias, g, spec, mode);
+      const Tensor got = run_session(*net, x, spec, mode);
       EXPECT_TRUE(bit_identical(got, ref))
           << spec.to_string() << " mode " << static_cast<int>(mode);
     }
@@ -97,14 +105,18 @@ TEST(PositEngine, ThreadedRunsBitIdenticalToSerial) {
   const Tensor x = Tensor::randn({37, 41}, rng);
   const Tensor w = Tensor::randn({13, 41}, rng);
   const Tensor bias = Tensor::randn({13}, rng);
+  auto net = linear_net(w, bias);
   const int restore = omp_get_max_threads();
   for (const PositSpec& spec : {PositSpec{8, 1}, PositSpec{16, 1}, PositSpec{32, 2}}) {
     for (const AccumMode mode : mode_grid()) {
+      // One session across thread counts: its quire arenas must follow the
+      // team as it grows.
       omp_set_num_threads(1);
-      const Tensor serial = posit_linear(x, w, bias, spec, mode);
+      PositSession session = PositSession::compile(*net, SessionConfig{spec, mode});
+      const Tensor serial = session.run(x);
       for (const int threads : {2, 4}) {
         omp_set_num_threads(threads);
-        EXPECT_TRUE(bit_identical(posit_linear(x, w, bias, spec, mode), serial))
+        EXPECT_TRUE(bit_identical(session.run(x), serial))
             << spec.to_string() << " mode " << static_cast<int>(mode) << " threads " << threads;
       }
     }
@@ -166,14 +178,15 @@ TEST(PositEngine, ZeroBatchYieldsWellFormedEmptyOutputs) {
   const Tensor w = Tensor::randn({4, 8}, rng);
   const Tensor bias = Tensor::randn({4}, rng);
   const Tensor none;
+  auto lin = linear_net(w, bias);
+  const tensor::Conv2dGeom g{3, 6, 6, 4, 3, 1, 1};
+  auto conv = conv_net(g, Tensor::randn({4, 3, 3, 3}, rng), none);
   for (const AccumMode mode : mode_grid()) {
-    const Tensor y = posit_linear(Tensor({0, 8}), w, bias, PositSpec{16, 1}, mode);
+    const Tensor y = run_session(*lin, Tensor({0, 8}), PositSpec{16, 1}, mode);
     EXPECT_EQ(y.shape(), (tensor::Shape{0, 4}));
     EXPECT_EQ(y.numel(), 0u);
 
-    const tensor::Conv2dGeom g{3, 6, 6, 4, 3, 1, 1};
-    const Tensor wc = Tensor::randn({4, 3, 3, 3}, rng);
-    const Tensor yc = posit_conv2d(Tensor({0, 3, 6, 6}), wc, none, g, PositSpec{8, 1}, mode);
+    const Tensor yc = run_session(*conv, Tensor({0, 3, 6, 6}), PositSpec{8, 1}, mode);
     EXPECT_EQ(yc.shape(), (tensor::Shape{0, 4, 6, 6}));
   }
   // Whole-network: an empty batch flows through every layer kind.
@@ -191,9 +204,12 @@ TEST(PositEngine, OneByOneConvMatchesReference) {
   const Tensor x = Tensor::randn({2, 3, 5, 7}, rng);
   const Tensor w = Tensor::randn({4, 3, 1, 1}, rng, 0.4f);
   const Tensor bias = Tensor::randn({4}, rng, 0.2f);
+  auto net = conv_net(g, w, bias);
+  // Under the default passes the session reads the input plane as the patch
+  // matrix (elide_im2col); PDNN_PLAN_PASSES=0 runs the im2col gather instead.
   for (const PositSpec& spec : {PositSpec{8, 1}, PositSpec{16, 1}}) {
     for (const AccumMode mode : mode_grid()) {
-      EXPECT_TRUE(bit_identical(posit_conv2d(x, w, bias, g, spec, mode),
+      EXPECT_TRUE(bit_identical(run_session(*net, x, spec, mode),
                                 posit_conv2d_reference(x, w, bias, g, spec, mode)))
           << spec.to_string() << " mode " << static_cast<int>(mode);
     }
@@ -207,8 +223,8 @@ TEST(PositEngine, DegenerateGeometryThrowsInsteadOfUnderflowing) {
   const Tensor none;
   // 5x5 window on an unpadded 2x2 input: out_h would underflow size_t.
   const tensor::Conv2dGeom window{1, 2, 2, 1, 5, 1, 0};
-  EXPECT_THROW(posit_conv2d(x, w, none, window, PositSpec{8, 1}, AccumMode::kQuire),
-               std::invalid_argument);
+  auto net = conv_net(window, w, none);
+  EXPECT_THROW(run_session(*net, x, PositSpec{8, 1}, AccumMode::kQuire), std::invalid_argument);
   EXPECT_THROW(posit_conv2d_reference(x, w, none, window, PositSpec{8, 1}, AccumMode::kQuire),
                std::invalid_argument);
   const tensor::Conv2dGeom stride0{1, 2, 2, 1, 1, 0, 0};

@@ -6,14 +6,16 @@
 
 #include "data/synthetic.hpp"
 #include "nn/resnet.hpp"
-#include "quant/posit_inference.hpp"
-#include "quant/posit_session.hpp"
+#include "one_layer_session.hpp"
 #include "train/trainer.hpp"
 
 namespace pdnn::quant {
 namespace {
 
 using posit::PositSpec;
+using testing::conv_net;
+using testing::linear_net;
+using testing::run_session;
 using tensor::Rng;
 using tensor::Tensor;
 
@@ -27,7 +29,7 @@ TEST(PositLinear, QuireMatchesDoubleReferenceOnExactCase) {
     w[i] = static_cast<float>(2 - static_cast<int>(i));  // 2..-3
   }
   const Tensor bias = Tensor::zeros({2});
-  const Tensor y = posit_linear(x, w, bias, PositSpec{16, 1}, AccumMode::kQuire);
+  const Tensor y = run_session(*linear_net(w, bias), x, PositSpec{16, 1}, AccumMode::kQuire);
   const Tensor ref = tensor::matmul(x, tensor::transpose(w));
   for (std::size_t i = 0; i < y.numel(); ++i) EXPECT_EQ(y[i], ref[i]) << i;
 }
@@ -43,8 +45,9 @@ TEST(PositLinear, AllAccumulationModesCloseToFp32) {
       for (std::size_t o = 0; o < 8; ++o) y.at(i, o) += bias[o];
     return y;
   }();
+  auto net = linear_net(w, bias);
   for (const AccumMode mode : {AccumMode::kQuire, AccumMode::kSerial, AccumMode::kFma}) {
-    const Tensor y = posit_linear(x, w, bias, PositSpec{16, 1}, mode);
+    const Tensor y = run_session(*net, x, PositSpec{16, 1}, mode);
     for (std::size_t i = 0; i < y.numel(); ++i) {
       EXPECT_NEAR(y[i], ref[i], std::fabs(ref[i]) * 0.02 + 0.02)
           << "mode " << static_cast<int>(mode) << " idx " << i;
@@ -64,8 +67,9 @@ TEST(PositLinear, QuireIsMoreAccurateThanSerial) {
   for (std::size_t i = 0; i < dim; ++i) ref += static_cast<double>(x[i]) * w[i];
 
   const PositSpec spec{8, 1};  // coarse: differences show clearly
-  const float q = posit_linear(x, w, none, spec, AccumMode::kQuire).at(0, 0);
-  const float s = posit_linear(x, w, none, spec, AccumMode::kSerial).at(0, 0);
+  auto net = linear_net(w, none);
+  const float q = run_session(*net, x, spec, AccumMode::kQuire).at(0, 0);
+  const float s = run_session(*net, x, spec, AccumMode::kSerial).at(0, 0);
   // Quantization of inputs perturbs ref; compare against the quire result of
   // the quantized operands, which is the correctly-rounded answer by
   // construction: serial must be at least as far from it as zero.
@@ -85,7 +89,7 @@ TEST(PositConv, MatchesFp32OnExactWeights) {
   for (std::size_t i = 0; i < w.numel(); ++i) w[i] = static_cast<float>((static_cast<int>(i) % 5) - 2) * 0.25f;
   const Tensor ref = tensor::conv2d_forward(x, w, g);
   const Tensor none;
-  const Tensor y = posit_conv2d(x, w, none, g, PositSpec{16, 1}, AccumMode::kQuire);
+  const Tensor y = run_session(*conv_net(g, w, none), x, PositSpec{16, 1}, AccumMode::kQuire);
   for (std::size_t i = 0; i < y.numel(); ++i) {
     // Inputs/weights exact; quire sum exact; only the final rounding differs.
     EXPECT_NEAR(y[i], ref[i], std::fabs(ref[i]) * 0.001 + 1e-4) << i;
