@@ -426,17 +426,16 @@ int main(int argc, char** argv) {
 
   {
     // Block-decoder bandwidth: unpack a packed panel and group-decode it into
-    // Unpacked lanes — the exact work engine_gemm does per activation tile /
-    // weight row. macs_per_s carries codes/s for these rows.
+    // Unpacked lanes — the exact work engine_gemm does per weight row.
+    // macs_per_s carries codes/s for these rows.
     const std::size_t n_codes = std::size_t{1} << 20;
-    std::vector<float> src(n_codes);
+    Tensor src({n_codes});
     Rng drng(31);
-    for (float& v : src) v = static_cast<float>((drng.uniform() - 0.5) * 4.0);
+    for (std::size_t i = 0; i < n_codes; ++i) src[i] = static_cast<float>((drng.uniform() - 0.5) * 4.0);
     std::vector<std::uint32_t> codes(n_codes);
     std::vector<pdnn::posit::Unpacked> ops(n_codes);
     for (const PositSpec& spec : specs) {
-      EncodedTensor panel;
-      pdnn::quant::encode_pack_into(src.data(), n_codes, spec, panel);
+      const EncodedTensor panel = pdnn::quant::encode_pack(src, spec);
       const auto run_decode = [&] {
         pdnn::posit::unpack_codes(panel.packed.data(), 0, n_codes, spec, codes.data());
         pdnn::posit::decode_unpacked(codes.data(), n_codes, spec, ops.data());

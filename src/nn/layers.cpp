@@ -1,5 +1,6 @@
 #include "nn/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace pdnn::nn {
@@ -215,6 +216,12 @@ void BatchNorm2d::update_running_stats(const float* mean, const float* var) {
     running_mean_[ci] = (1 - momentum_) * running_mean_[ci] + momentum_ * mean[ci];
     running_var_[ci] = (1 - momentum_) * running_var_[ci] + momentum_ * var[ci];
   }
+  stats_version_ = next_param_version();
+}
+
+void BatchNorm2d::set_running_stats(const float* mean, const float* var) {
+  std::copy(mean, mean + channels_, running_mean_.begin());
+  std::copy(var, var + channels_, running_var_.begin());
   stats_version_ = next_param_version();
 }
 

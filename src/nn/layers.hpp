@@ -78,6 +78,9 @@ class BatchNorm2d final : public Module {
   /// serially here, one call per micro-batch in shard order. `mean`/`var`
   /// must hold channels() values.
   void update_running_stats(const float* mean, const float* var);
+  /// Checkpoint-load hook: overwrite the running estimates (`mean`/`var` hold
+  /// channels() values) and bump stats_version().
+  void set_running_stats(const float* mean, const float* var);
   std::size_t channels() const { return channels_; }
 
  private:

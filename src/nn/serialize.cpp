@@ -13,8 +13,11 @@ namespace pdnn::nn {
 
 namespace {
 
-constexpr char kMagicF32[8] = {'P', 'D', 'N', 'N', '0', '0', '0', '1'};
-constexpr char kMagicPosit[8] = {'P', 'D', 'N', 'N', 'P', '0', '0', '1'};
+constexpr char kMagicF32[8] = {'P', 'D', 'N', 'N', '0', '0', '0', '2'};
+constexpr char kMagicPosit[8] = {'P', 'D', 'N', 'N', 'P', '0', '0', '2'};
+// Version 1 of each format: parameters only, no BN running statistics.
+constexpr char kMagicF32V1[8] = {'P', 'D', 'N', 'N', '0', '0', '0', '1'};
+constexpr char kMagicPositV1[8] = {'P', 'D', 'N', 'N', 'P', '0', '0', '1'};
 
 template <typename T>
 void write_pod(std::ostream& os, const T& v) {
@@ -37,7 +40,74 @@ void write_header(std::ostream& os, const char (&magic)[8], std::uint64_t count)
 void expect_magic(std::istream& is, const char (&magic)[8]) {
   char buf[8];
   is.read(buf, 8);
+  if (is && (std::memcmp(buf, kMagicF32V1, 8) == 0 || std::memcmp(buf, kMagicPositV1, 8) == 0)) {
+    throw std::runtime_error("checkpoint: version 1 format (" + std::string(buf, 8) +
+                             ") lacks BN running statistics and is no longer read; re-save the "
+                             "model to write version 2 (" + std::string(magic, 8) + ")");
+  }
   if (!is || std::memcmp(buf, magic, 8) != 0) throw std::runtime_error("checkpoint: bad magic");
+}
+
+/// Every BatchNorm2d of the module graph, pre-order (the record order).
+std::vector<BatchNorm2d*> batch_norms(Sequential& net) {
+  std::vector<BatchNorm2d*> bns;
+  net.visit([&bns](Module& m) {
+    if (auto* bn = dynamic_cast<BatchNorm2d*>(&m)) bns.push_back(bn);
+  });
+  return bns;
+}
+
+/// The BN trailer both formats end with: u64 count | per BN: u32 name length
+/// | name | u64 channels | f32 running_mean[channels] | f32 running_var[channels].
+void write_bn_stats(std::ostream& os, Sequential& net) {
+  const std::vector<BatchNorm2d*> bns = batch_norms(net);
+  write_pod(os, static_cast<std::uint64_t>(bns.size()));
+  for (const BatchNorm2d* bn : bns) {
+    const auto len = static_cast<std::uint32_t>(bn->name().size());
+    write_pod(os, len);
+    os.write(bn->name().data(), len);
+    write_pod(os, static_cast<std::uint64_t>(bn->channels()));
+    for (const std::vector<float>* v : {&bn->running_mean(), &bn->running_var()}) {
+      os.write(reinterpret_cast<const char*>(v->data()),
+               static_cast<std::streamsize>(v->size() * sizeof(float)));
+    }
+  }
+}
+
+struct StagedStats {
+  BatchNorm2d* bn = nullptr;
+  std::vector<float> mean, var;
+};
+
+/// Parse the BN trailer against the model: every BN named exactly once, with
+/// its channel count. Nothing is written to the model here.
+std::vector<StagedStats> read_bn_stats(std::istream& is, Sequential& net) {
+  std::map<std::string, BatchNorm2d*> by_name;
+  for (BatchNorm2d* bn : batch_norms(net)) by_name[bn->name()] = bn;
+  const auto count = read_pod<std::uint64_t>(is);
+  if (count != by_name.size()) throw std::runtime_error("checkpoint: BatchNorm count mismatch");
+  std::vector<StagedStats> staged;
+  std::set<std::string> seen;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto len = read_pod<std::uint32_t>(is);
+    if (len > 4096) throw std::runtime_error("checkpoint: absurd name length");
+    std::string name(len, '\0');
+    is.read(name.data(), len);
+    const auto it = by_name.find(name);
+    if (!is || it == by_name.end()) throw std::runtime_error("checkpoint: unknown BatchNorm " + name);
+    if (!seen.insert(name).second) throw std::runtime_error("checkpoint: duplicate BatchNorm " + name);
+    if (read_pod<std::uint64_t>(is) != it->second->channels()) {
+      throw std::runtime_error("checkpoint: channel mismatch for BatchNorm " + name);
+    }
+    StagedStats st{it->second, std::vector<float>(it->second->channels()),
+                   std::vector<float>(it->second->channels())};
+    for (std::vector<float>* v : {&st.mean, &st.var}) {
+      is.read(reinterpret_cast<char*>(v->data()), static_cast<std::streamsize>(v->size() * sizeof(float)));
+    }
+    if (!is) throw std::runtime_error("checkpoint: truncated statistics for BatchNorm " + name);
+    staged.push_back(std::move(st));
+  }
+  return staged;
 }
 
 void write_name_shape(std::ostream& os, const Param& p) {
@@ -82,12 +152,13 @@ std::map<std::string, Param*> params_by_name(Sequential& net) {
   return map;
 }
 
-/// Validate, then commit: every record of the stream is parsed into a
-/// staging tensor first — `read_value(is, ns)` reads one record's payload
-/// after its name and shape — and only a stream that names each parameter
-/// exactly once, with its shape, is copied into the model and version-bumped.
-/// Any failure throws with every parameter's value and version untouched.
-/// Shapes are checked against the model before a payload is allocated.
+/// Validate, then commit: every record of the stream is parsed into staging
+/// first — `read_value(is, ns)` reads one parameter record's payload after
+/// its name and shape, then the BN statistics trailer follows — and only a
+/// stream that names each parameter and each BatchNorm exactly once, with its
+/// shape, is copied into the model and version-bumped. Any failure throws
+/// with every value, Param::version and stats_version() untouched. Shapes are
+/// checked against the model before a payload is allocated.
 template <typename ReadValue>
 void load_staged(std::istream& is, const char (&magic)[8], Sequential& net,
                  ReadValue&& read_value) {
@@ -110,10 +181,12 @@ void load_staged(std::istream& is, const char (&magic)[8], Sequential& net,
     }
     staged.emplace_back(it->second, read_value(is, ns));
   }
+  const std::vector<StagedStats> stats = read_bn_stats(is, net);
   for (auto& [param, value] : staged) {
     std::copy(value.data(), value.data() + value.numel(), param->value.data());
     param->mark_updated();
   }
+  for (const StagedStats& st : stats) st.bn->set_running_stats(st.mean.data(), st.var.data());
 }
 
 }  // namespace
@@ -126,6 +199,7 @@ void save_parameters(std::ostream& os, Sequential& net) {
     os.write(reinterpret_cast<const char*>(p->value.data()),
              static_cast<std::streamsize>(p->value.numel() * sizeof(float)));
   }
+  write_bn_stats(os, net);
 }
 
 void load_parameters(std::istream& is, Sequential& net) {
@@ -175,6 +249,7 @@ std::size_t save_parameters_posit(std::ostream& os, Sequential& net, const posit
     os.write(reinterpret_cast<const char*>(buf.data()), static_cast<std::streamsize>(buf.size()));
     payload += buf.size();
   }
+  write_bn_stats(os, net);
   return payload;
 }
 

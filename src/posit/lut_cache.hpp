@@ -1,4 +1,5 @@
-// lut_cache.hpp — process-wide LUT cache shared by mul_lut/add_lut/fma_lut.
+// lut_cache.hpp — process-wide LUT caches: LutCache for mul_lut/add_lut/
+// fma_lut, PairLutCache for the two-format hand-off tables (handoff_lut.hpp).
 //
 // Steady-state engine code resolves its LUT pointers once at compile/plan
 // time (quant::detail::resolve_luts, PositSession::compile), but ad-hoc
@@ -56,6 +57,25 @@ class LutCache {
   std::atomic<const Lut*> fast_[kLutCacheMaxN + 1][kLutCacheMaxEs][kLutCacheModes] = {};
   std::mutex mu_;
   std::map<std::tuple<int, int, int>, std::unique_ptr<Lut>> owned_;
+};
+
+/// Tables keyed by a (from, to) format pair plus rounding mode. They are
+/// resolved once per session compile and never per element, so a plain
+/// mutex is all the synchronization they need (and all TSan has to see).
+template <typename Lut>
+class PairLutCache {
+ public:
+  const Lut& get(const PositSpec& from, const PositSpec& to, RoundMode mode) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto key = std::make_tuple(from.n, from.es, to.n, to.es, static_cast<int>(mode));
+    auto it = owned_.find(key);
+    if (it == owned_.end()) it = owned_.emplace(key, std::make_unique<Lut>(from, to, mode)).first;
+    return *it->second;
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<std::tuple<int, int, int, int, int>, std::unique_ptr<Lut>> owned_;
 };
 
 }  // namespace pdnn::posit::detail

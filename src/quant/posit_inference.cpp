@@ -16,43 +16,26 @@ namespace detail {
 
 namespace {
 
-/// Per-thread block-decode scratch for the packed panels. The calling
-/// thread's instance holds the whole activation panel for the duration of
-/// one GEMM (codes plus, when the mode consumes them, unpacked lanes —
-/// transient per-call working set, rebuilt from the packed panel each call);
-/// each team thread's instance holds the single weight row it is currently
-/// streaming. Grow-only and thread-local, so the steady-state cost is
-/// bounded by the largest shapes this thread has seen — scratch, not model
-/// footprint (engine_scratch_bytes() reports it).
+/// Per-thread decode scratch. The calling thread's instance holds the
+/// Unpacked activation lanes for the duration of one GEMM (when the mode
+/// consumes them); each team thread's instance holds the single weight row it
+/// is currently streaming. Grow-only and thread-local, so the steady-state
+/// cost is bounded by the largest shapes this thread has seen.
 struct DecodeScratch {
-  std::vector<std::uint32_t> a_codes;
   std::vector<std::uint32_t> w_codes;
   std::vector<Unpacked> a_ops;
   std::vector<Unpacked> w_ops;
-  // Fixed-point dot operands (kQuire on formats fixed_dot_fits() accepts):
-  // the activation panel plus one NaR flag per row, and the streamed weight
-  // row. w_ops doubles as the row-decode staging buffer on that path.
-  std::vector<std::int32_t> a_fixed;
-  std::vector<std::uint8_t> a_nar;
-  std::vector<std::int32_t> w_fixed;
+  std::vector<std::int32_t> w_fixed;  ///< fixed-point dot: the streamed weight row
 };
 thread_local DecodeScratch tl_scratch;
 
-/// Caller-thread scratch for the encode paths: codes are produced in
-/// parallel here, then bit-packed serially (the 64-bit RMW pack windows of
-/// adjacent ranges overlap, so packing itself must not be split across
-/// threads).
-thread_local std::vector<std::uint32_t> tl_encode_codes;
-
 }  // namespace
 
-std::size_t engine_scratch_bytes() {
-  const DecodeScratch& s = tl_scratch;
-  return (s.a_codes.capacity() + s.w_codes.capacity() + tl_encode_codes.capacity()) *
-             sizeof(std::uint32_t) +
-         (s.a_ops.capacity() + s.w_ops.capacity()) * sizeof(Unpacked) +
-         (s.a_fixed.capacity() + s.w_fixed.capacity()) * sizeof(std::int32_t) +
-         s.a_nar.capacity();
+FixedLut::FixedLut(const PositSpec& spec) {
+  if (spec.n > 8 || !posit::fixed_dot_fits(spec, 1)) {
+    throw std::invalid_argument("FixedLut: unsupported for " + spec.to_string());
+  }
+  for (std::uint32_t c = 0; c < spec.code_count(); ++c) value[c] = fixed_of(c, spec);
 }
 
 EngineLuts resolve_luts(const PositSpec& spec, AccumMode mode) {
@@ -71,41 +54,26 @@ EngineLuts resolve_luts(const PositSpec& spec, AccumMode mode) {
   return luts;
 }
 
-void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTensor& bias,
-                 std::size_t rows, std::size_t k, std::size_t cols, AccumMode mode, float* out,
-                 std::size_t row_stride, std::size_t col_stride, const EngineLuts& luts,
+void engine_gemm(const ActPanel& a, const EncodedTensor& w, const EncodedTensor& bias,
+                 std::size_t rows, std::size_t k, std::size_t cols, AccumMode mode,
+                 std::uint32_t* out, const OutLayout& layout, bool relu, const EngineLuts& luts,
                  posit::Quire* quire_pool) {
   const PositSpec spec = w.spec;
   const std::size_t tiles = (rows + kActTile - 1) / kActTile;
-  // Which operand forms this (mode, luts) pairing actually reads: the LUT
-  // serial/fma chains index raw codes, everything else consumes Unpacked
-  // lanes. Codes are always unpacked from the packed panels (they are the
-  // decode intermediate); the lane decode is skipped when nothing reads it.
+  // Which operand forms this (mode, luts) pairing reads: the LUT serial/fma
+  // chains index the gathered codes, the fixed-point dot the caller's
+  // fixed-point panel, everything else Unpacked lanes decoded here.
   const bool lut_serial = mode == AccumMode::kSerial && luts.mul != nullptr && luts.add != nullptr;
   const bool lut_fma = mode == AccumMode::kFma && luts.fma != nullptr;
-  // kQuire dots that are exact in int64 run on fixed-point operands, which
-  // are converted from Unpacked lanes row by row; only the quire and the
-  // non-LUT chains keep the whole Unpacked activation panel.
-  const bool fixed =
-      mode == AccumMode::kQuire && a.spec == spec && posit::fixed_dot_fits(spec, k);
+  const bool fixed = uses_fixed_dot(mode, spec, k);
   const bool need_ops = !(lut_serial || lut_fma || fixed);
-  // Phase split keeps every panel value's decode to exactly once per call:
-  // the activation panel is block-decoded (kActTile-row slices, in parallel)
-  // into the calling thread's scratch, then the GEMM parallelizes over
-  // output columns so each packed weight row is unpacked once and streamed
-  // against every activation row. Sized buffers are grabbed before the team
-  // starts — the region below only reads them through raw pointers.
+  // The Unpacked activation lanes are decoded once (kActTile-row slices, in
+  // parallel) before the column loop; the buffer is sized before the team
+  // starts — the region below only reads it through a raw pointer.
   DecodeScratch& host = tl_scratch;
-  host.a_codes.resize(rows * k);
   if (need_ops) host.a_ops.resize(rows * k);
-  std::uint32_t* const a_codes_buf = host.a_codes.data();
   Unpacked* const a_ops_buf = need_ops ? host.a_ops.data() : nullptr;
-  if (fixed) {
-    host.a_fixed.resize(rows * k);
-    host.a_nar.resize(rows);
-  }
-  std::int32_t* const a_fixed_buf = fixed ? host.a_fixed.data() : nullptr;
-  std::uint8_t* const a_nar_buf = fixed ? host.a_nar.data() : nullptr;
+  const std::uint32_t clamp = relu ? spec.sign_bit() : 0u;
 #pragma omp parallel
   {
 #ifdef _OPENMP
@@ -118,21 +86,14 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
     scratch.w_codes.resize(k);
     if (need_ops || fixed) scratch.w_ops.resize(k);
     if (fixed) scratch.w_fixed.resize(k);
+    if (need_ops) {
 #pragma omp for schedule(static)
-    for (std::size_t tile = 0; tile < tiles; ++tile) {
-      const std::size_t r0 = tile * kActTile;
-      const std::size_t r1 = std::min(rows, r0 + kActTile);
-      posit::unpack_codes(a.packed.data(), r0 * k, (r1 - r0) * k, a.spec, a_codes_buf + r0 * k);
-      if (need_ops) {
-        posit::decode_unpacked(a_codes_buf + r0 * k, (r1 - r0) * k, a.spec, a_ops_buf + r0 * k);
-      }
-      if (fixed) {
-        for (std::size_t r = r0; r < r1; ++r) {
-          posit::decode_unpacked(a_codes_buf + r * k, k, spec, scratch.w_ops.data());
-          a_nar_buf[r] = posit::to_fixed(scratch.w_ops.data(), k, spec, a_fixed_buf + r * k);
-        }
-      }
-    }  // implicit barrier: the whole panel is decoded before any dot reads it
+      for (std::size_t tile = 0; tile < tiles; ++tile) {
+        const std::size_t r0 = tile * kActTile;
+        const std::size_t r1 = std::min(rows, r0 + kActTile);
+        posit::decode_unpacked(a.codes + r0 * k, (r1 - r0) * k, spec, a_ops_buf + r0 * k);
+      }  // implicit barrier: every lane is decoded before any dot reads it
+    }
 #pragma omp for schedule(static)
     for (std::size_t o = 0; o < cols; ++o) {
       posit::unpack_codes(w.packed.data(), o * k, k, spec, scratch.w_codes.data());
@@ -144,18 +105,14 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
       const std::uint32_t bcode =
           !bias.empty() ? posit::unpack_one(bias.packed.data(), o, bias.spec) : 0u;
       for (std::size_t r = 0; r < rows; ++r) {
-        // Offset the lane panel only where it exists (it is null whenever
-        // the LUT chains or the fixed-point dot run).
         const std::size_t off = r * k;
-        const std::uint32_t* acodes = a_codes_buf + off;
         std::uint32_t acc = 0;
         switch (mode) {
           case AccumMode::kQuire:
             if (fixed) {
               // A NaR lane poisons the dot exactly as it poisons the quire.
-              acc = w_nar || a_nar_buf[r] != 0
-                        ? spec.nar_code()
-                        : posit::fixed_dot(a_fixed_buf + off, wfixed, k, spec);
+              acc = w_nar || a.nar[r] != 0 ? spec.nar_code()
+                                            : posit::fixed_dot(a.fixed + off, wfixed, k, spec);
             } else {
               quire->clear();
               quire->accumulate_dot(a_ops_buf + off, wrow, k);
@@ -166,6 +123,7 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
             if (lut_serial) {
               // Two table reads per term: the multiply and the accumulator
               // add both come out of L2-resident LUTs.
+              const std::uint32_t* acodes = a.codes + off;
               for (std::size_t i = 0; i < k; ++i) {
                 acc = luts.add->at(acc, luts.mul->at(acodes[i], wcodes[i]));
               }
@@ -177,6 +135,7 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
             break;
           case AccumMode::kFma:
             if (lut_fma) {
+              const std::uint32_t* acodes = a.codes + off;
               for (std::size_t i = 0; i < k; ++i) acc = luts.fma->at(acodes[i], wcodes[i], acc);
             } else {
               for (std::size_t i = 0; i < k; ++i) {
@@ -188,30 +147,12 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
         if (!bias.empty()) {
           acc = luts.add != nullptr ? luts.add->at(acc, bcode) : posit::add(acc, bcode, spec);
         }
-        out[r * row_stride + o * col_stride] = static_cast<float>(posit::to_double(acc, spec));
+        if ((acc & clamp) != 0) acc = 0;
+        out[(r / layout.group) * layout.group_stride + (r % layout.group) * layout.row_stride +
+            o * layout.col_stride] = acc;
       }
     }
   }
-}
-
-void encode_conv_panel(const float* cols, std::size_t patch, std::size_t pixels,
-                       const PositSpec& spec, EncodedTensor& panel) {
-  panel.spec = spec;
-  panel.shape = {pixels, patch};
-  panel.count = pixels * patch;
-  // Encode transposed (each output pixel's patch contiguous) in parallel
-  // into the code scratch, then bit-pack serially: pack_codes RMWs 64-bit
-  // windows that straddle neighbor ranges, so the pack must not be split.
-  std::vector<std::uint32_t>& codes = tl_encode_codes;
-  codes.resize(panel.count);
-#pragma omp parallel for schedule(static) if (pixels > 8)
-  for (std::size_t t = 0; t < pixels; ++t) {
-    for (std::size_t p = 0; p < patch; ++p) {
-      codes[t * patch + p] = posit::from_double(cols[p * pixels + t], spec, kEncodeRound);
-    }
-  }
-  panel.packed.assign(posit::packed_capacity(panel.count, spec), 0u);
-  posit::pack_codes(codes.data(), 0, panel.count, spec, panel.packed.data());
 }
 
 }  // namespace detail
@@ -261,25 +202,19 @@ std::uint32_t dot(const std::uint32_t* a, const std::uint32_t* b, std::size_t co
 
 EncodedTensor encode_pack(const Tensor& t, const PositSpec& spec) {
   EncodedTensor e;
+  e.spec = spec;
   e.shape = t.shape();
-  encode_pack_into(t.data(), t.numel(), spec, e);
-  return e;
-}
-
-void encode_pack_into(const float* src, std::size_t count, const PositSpec& spec,
-                      EncodedTensor& out) {
-  out.spec = spec;
-  out.count = count;
-  // Parallel encode into the code scratch, serial bit-pack (see
-  // encode_conv_panel for why the pack cannot be split across threads).
-  std::vector<std::uint32_t>& codes = detail::tl_encode_codes;
-  codes.resize(count);
-#pragma omp parallel for schedule(static) if (count > 4096)
-  for (std::size_t i = 0; i < count; ++i) {
-    codes[i] = posit::from_double(src[i], spec, kEncodeRound);
+  e.count = t.numel();
+  // Parallel encode, serial bit-pack: pack_codes RMWs 64-bit windows that
+  // straddle neighbor ranges, so the pack must not be split across threads.
+  std::vector<std::uint32_t> codes(e.count);
+#pragma omp parallel for schedule(static) if (e.count > 4096)
+  for (std::size_t i = 0; i < e.count; ++i) {
+    codes[i] = posit::from_double(t[i], spec, kEncodeRound);
   }
-  out.packed.assign(posit::packed_capacity(count, spec), 0u);
-  posit::pack_codes(codes.data(), 0, count, spec, out.packed.data());
+  e.packed.assign(posit::packed_capacity(e.count, spec), 0u);
+  posit::pack_codes(codes.data(), 0, e.count, spec, e.packed.data());
+  return e;
 }
 
 // ---------------------------------------------------------------------------

@@ -11,16 +11,16 @@
 //   * kFma    — with a fused multiply-add chain (one rounding per term,
 //               the behavior of the paper's Fig. 4 MAC pipeline).
 //
-// Panels are stored bit-packed at format width (EncodedTensor) and decoded
-// blockwise, each packed value exactly once per GEMM: the activation panel
-// into per-call scratch up front, each weight row into O(k) per-thread
-// scratch as the column loop streams it — all through the SIMD batch-of-8
-// decoder (posit/simd.hpp). The hot loops then run on posit::Unpacked lanes
-// with per-thread quires OpenMP-distributed over output columns; n <= 8
-// formats dispatch at runtime onto tabulated kernels (MulLut/AddLut for the
-// serial chain and every bias add, the pair-classed FmaLut for the fma
-// chain). Results are bit-identical to the retained scalar reference path
-// (posit_linear_reference / posit_conv2d_reference) at every spec and
+// Weight panels are stored bit-packed at format width (EncodedTensor) and
+// decoded once per GEMM, each row into O(k) per-thread scratch as the column
+// loop streams it, through the SIMD batch-of-8 decoder (posit/simd.hpp).
+// Activations arrive as unpacked code panels gathered by the session (or,
+// for the exact int64 dot, as int32 fixed-point panels). The hot loops run
+// per-thread quires or the int64 dot OpenMP-distributed over output columns;
+// n <= 8 formats dispatch at runtime onto tabulated kernels (MulLut/AddLut
+// for the serial chain and every bias add, the pair-classed FmaLut for the
+// fma chain). Results are bit-identical to the retained scalar reference
+// path (posit_linear_reference / posit_conv2d_reference) at every spec and
 // accumulation mode, to single-threaded runs at any thread count, and to
 // the scalar decode path (PDNN_NO_AVX2=1).
 //
@@ -28,9 +28,9 @@
 // rounding, the packed EncodedTensor panel) and the scalar reference
 // oracles. The one way to run posit inference is quant::PositSession
 // (posit_session.hpp), which compiles a module graph once — session-owned
-// weight panels, per-thread quire arenas, per-layer precision overrides — and
-// runs allocation-free in steady state; a single layer is a one-layer
-// Sequential.
+// weight panels, code-resident activations, per-thread quire arenas,
+// per-layer precision overrides — and runs allocation-free in steady state;
+// a single layer is a one-layer Sequential.
 #pragma once
 
 #include <cstdint>
@@ -51,21 +51,23 @@ enum class AccumMode {
 };
 
 /// The single rounding mode used for every float -> posit encode on the
-/// inference path (weights, activations, im2col panels, BN constants).
+/// inference path (weights, the network input, format hand-offs, BN
+/// constants).
 constexpr posit::RoundMode kEncodeRound = posit::RoundMode::kNearestEven;
 
 /// Activation rows (or output pixels) per work item of the engine GEMM's
-/// block-decode phase: the packed activation panel is unpacked and decoded
-/// in slices of this many rows, team-parallel, before the column loop runs.
+/// decode phase: when the accumulator reads Unpacked lanes, the activation
+/// code panel is decoded in slices of this many rows, team-parallel, before
+/// the column loop runs.
 constexpr std::size_t kActTile = 16;
 
 /// Compressed operand panel: a tensor's n-bit posit codes bit-packed at
 /// format width (posit/packed.hpp block codec) — ⌈n/8⌉ bytes per value, the
-/// paper's model-size story as the engine's resident layout. The GEMM inner
-/// loops never touch this form directly: engine_gemm decodes each packed
-/// value exactly once per call into transient scratch (SIMD batch-of-8
-/// group decode, ragged tail scalar), so steady-state panel memory is the
-/// packed payload alone.
+/// paper's model-size story as the engine's resident weight layout. The GEMM
+/// inner loops never touch this form directly: engine_gemm decodes each
+/// packed value exactly once per call into transient scratch (SIMD
+/// batch-of-8 group decode, ragged tail scalar), so steady-state panel
+/// memory is the packed payload alone.
 struct EncodedTensor {
   posit::PositSpec spec{8, 1};
   tensor::Shape shape;
@@ -80,12 +82,6 @@ struct EncodedTensor {
 
 /// Encode (under kEncodeRound) and bit-pack a whole tensor in one pass.
 EncodedTensor encode_pack(const tensor::Tensor& t, const posit::PositSpec& spec);
-
-/// Encode `count` floats into an existing panel, reusing its storage — the
-/// session's steady-state activation path (no allocation once shapes
-/// settle). Sets out.spec/out.count; the caller owns out.shape.
-void encode_pack_into(const float* src, std::size_t count, const posit::PositSpec& spec,
-                      EncodedTensor& out);
 
 // ---------------------------------------------------------------------------
 // Retained scalar reference path (the pre-engine implementation): coded

@@ -2,14 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "exec/backend.hpp"
 #include "exec/graph_builder.hpp"
 #include "exec/kernels.hpp"
+#include "posit/handoff_lut.hpp"
 #include "quant/engine_gemm.hpp"
 #include "tensor/arena.hpp"
 #include "tensor/ops.hpp"
@@ -63,32 +68,111 @@ struct Binding {
   EncodedTensor panel;
 };
 
-/// Elementwise posit steps (BN, residual join) go team-parallel above this
-/// many elements. One posit element costs ~100-450 ns (encode, arithmetic,
-/// decode), several hundred times a float element, so the team pays for
-/// itself far below the float kernels' thresholds. The work is elementwise,
-/// so the split cannot change a bit.
+/// Elementwise posit steps (BN, residual join, input staging) go
+/// team-parallel above this many elements. One posit element costs far more
+/// than a float element, so the team pays for itself well below the float
+/// kernels' thresholds. The work is elementwise, so the split cannot change
+/// a bit.
 constexpr std::size_t kPositParallelMin = 512;
 
+/// What a slot holds, fixed at compile time: floats (the network input, and
+/// whatever a spec-less ReLU/MaxPool derives from it) or posit codes of one
+/// spec (every other step's output).
+struct SlotKind {
+  bool codes = false;
+  PositSpec spec{16, 1};
+};
+
+/// How a step reads one input slot in its own spec, resolved at compile time.
+/// Every route yields posit::handoff(c, from, to) — the code a float
+/// hand-off between the two steps produces — so the choice cannot change a
+/// bit.
+struct Input {
+  enum class Read {
+    kCodes,  ///< producer codes already are the step's codes (identity hand-off)
+    kTable,  ///< producer codes (n <= 16) through the process-wide hand-off table
+    kStage,  ///< converted once per element into `staged` at every run: the
+             ///< float network input, or a posit(n > 16) producer
+  };
+  Read read = Read::kCodes;
+  SlotKind from;
+  const std::uint32_t* table = nullptr;  ///< kTable: posit::HandoffLut::data()
+  std::vector<std::uint32_t> staged;     ///< kStage scratch (grow-only)
+};
+
+/// An input as the kernels read it: at(i) is a code of the consuming step's
+/// spec — table[codes[i]], or codes[i] when there is no table. `spec` is the
+/// format of `codes` itself, the index space of per-code tables.
+struct Operand {
+  const std::uint32_t* codes = nullptr;
+  const std::uint32_t* table = nullptr;
+  PositSpec spec{16, 1};
+  std::uint32_t at(std::size_t i) const { return table != nullptr ? table[codes[i]] : codes[i]; }
+};
+
+/// The input elements a step reads, each converted once per run: all
+/// `total` of them, or — for a strided conv whose gather map skips some —
+/// only the `touched` offsets within each `image`-sized slice.
+struct Reads {
+  std::size_t total = 0;
+  const std::vector<std::int32_t>* touched = nullptr;
+  std::size_t image = 1;
+};
+
+/// f(i) for every element i of `reads`, split across the team.
+template <typename F>
+void for_each_read(const Reads& reads, F f) {
+  if (reads.touched == nullptr) {
+#pragma omp parallel for schedule(static) if (reads.total > kPositParallelMin)
+    for (std::size_t i = 0; i < reads.total; ++i) f(i);
+    return;
+  }
+  const std::size_t images = reads.total / reads.image, per = reads.touched->size();
+  const std::int32_t* offsets = reads.touched->data();
+#pragma omp parallel for schedule(static) collapse(2) if (images * per > kPositParallelMin)
+  for (std::size_t b = 0; b < images; ++b) {
+    for (std::size_t j = 0; j < per; ++j) f(b * reads.image + static_cast<std::size_t>(offsets[j]));
+  }
+}
+
 /// The posit-side state attached to one plan step: resolved format and
-/// accumulation mode, LUT kernels, quire-arena index, encoded weight panels,
-/// BN constants, and the per-step scratch the hot loop reuses.
+/// accumulation mode, LUT kernels, quire-arena index, input routes, encoded
+/// weight panels, BN constants and tables, and the conv gather map.
 struct StepState {
   PositSpec spec{16, 1};
   AccumMode mode = AccumMode::kQuire;
   detail::EngineLuts luts;
   int arena = -1;  ///< per-thread quire pool index (kQuire GEMMs, GAP)
+  Input in[2];     ///< in0, and the skip operand of a join
 
   Binding weight, bias;  // bias.param == nullptr -> no bias (panel stays empty)
+  /// GEMMs on the fixed-point dot with an n <= 8 spec: code -> int32 operand.
+  std::optional<detail::FixedLut> fixed_lut;
+  /// Conv: the im2col index map for input planes of map_h x map_w — entry
+  /// [pixel * patch + p] is the offset of that patch element in one input
+  /// image, -1 for padding.
+  std::vector<std::int32_t> gather_map;
+  /// The offsets the map reads when it skips some (stride > kernel), sorted;
+  /// empty when it reads the whole image.
+  std::vector<std::int32_t> touched;
+  std::size_t map_h = 0, map_w = 0;
 
   // bn: constants derived from (gamma, beta, running stats) at encode time
   std::uint64_t gamma_version = 0, beta_version = 0, stats_version = 0;
   std::vector<std::uint32_t> bn_scale, bn_mean, bn_shift;
-
-  // steady-state scratch (grow-only)
-  Tensor cols;        // conv im2col columns
-  EncodedTensor act;  // encoded activation panel
+  /// BN on an n <= 8 input: the output code of every input code, per
+  /// channel ([channel << n | code]), fused ReLU included. Rebuilt across
+  /// the team at the first run after the constants change.
+  bool bn_tabulated = false;
+  bool bn_table_stale = true;
+  std::vector<std::uint32_t> bn_table;
 };
+
+/// Sign-extended n-bit code: posits order like two's-complement integers,
+/// NaR lowest.
+inline std::int32_t code_order(std::uint32_t code, int shift) {
+  return static_cast<std::int32_t>(code << shift) >> shift;
+}
 
 }  // namespace
 
@@ -97,7 +181,22 @@ struct PositSession::Impl final : exec::Backend {
   nn::Module* net = nullptr;  // not owned; clone() recompiles from it
   exec::ExecPlan eplan;
   std::vector<StepState> state;  // parallel to eplan.steps
-  tensor::TensorArena slots;
+
+  // Slots, each bound to its ArenaPlanner buffer in the store its kind uses.
+  std::vector<SlotKind> kinds;          // per slot
+  std::vector<tensor::Shape> shapes;    // per slot, as of this run
+  tensor::TensorArena floats;           // float slots
+  std::vector<std::vector<std::uint32_t>> codes;  // code slots (grow-only)
+  Tensor output;                        // the decoded output slot
+  /// The output slot is a MaxPool over codes: an all-NaR window decodes to
+  /// -inf, the float kernel's seed, instead of NaN.
+  bool output_nar_is_neg_inf = false;
+
+  // GEMM operands shared by every step (grow-only): the input converted
+  // once per element, then the gathered panel.
+  std::vector<std::uint32_t> once_codes, panel_codes;
+  std::vector<std::int32_t> once_fixed, panel_fixed;
+  std::vector<std::uint8_t> panel_nar;
 
   struct Arena {
     PositSpec spec{16, 1};
@@ -110,9 +209,17 @@ struct PositSession::Impl final : exec::Backend {
   bool force_refresh = false;
 
   const exec::ExecPlan& plan() const override { return eplan; }
-  std::size_t arena_bytes() const override { return slots.bytes(); }
+  std::size_t arena_bytes() const override {
+    return floats.bytes() + code_arena_bytes() + output.capacity() * sizeof(float);
+  }
   std::unique_ptr<exec::Backend> clone() const override {
     return PositSession::compile_backend(*net, cfg);
+  }
+
+  std::size_t code_arena_bytes() const {
+    std::size_t bytes = 0;
+    for (const auto& buf : codes) bytes += buf.capacity() * sizeof(std::uint32_t);
+    return bytes;
   }
 
   int arena_for(const PositSpec& spec) {
@@ -160,30 +267,53 @@ struct PositSession::Impl final : exec::Backend {
     s.gamma_version = bn.gamma().version;
     s.beta_version = bn.beta().version;
     s.stats_version = bn.stats_version();
+    s.bn_table_stale = true;
     ++encodes;
   }
 
+  void bind_input(Input& in, int slot, const PositSpec& to);
   void compile_step(const exec::Step& step, StepState& s);
   void refresh(bool force);
 
-  const Tensor& slot_tensor(int slot, const Tensor& x) const {
-    if (slot == eplan.input_slot) return x;
-    return slots.at(
-        static_cast<std::size_t>(eplan.slots[static_cast<std::size_t>(slot)].buffer));
+  std::size_t buffer(int slot) const {
+    return static_cast<std::size_t>(eplan.slots[static_cast<std::size_t>(slot)].buffer);
   }
+  std::uint32_t* code_data(int slot) { return codes[buffer(slot)].data(); }
+  const Tensor& float_slot(int slot, const Tensor& x) const {
+    return slot == eplan.input_slot ? x : floats.at(buffer(slot));
+  }
+  Reads all_of(int slot) const { return {shapes[static_cast<std::size_t>(slot)].numel()}; }
+  Operand operand(int slot, Input& in, const PositSpec& to, const Tensor& x, const Reads& reads);
+  const std::uint32_t* codes_once(const Operand& a, const Reads& reads);
+  const std::int32_t* fixed_once(const Operand& a, const StepState& s, const Reads& reads);
+  template <typename T, typename Index>
+  detail::ActPanel gather(const T* src, std::size_t rows, std::size_t k, Index index);
 
   const Tensor& run_impl(const Tensor& x) override;
+  const Tensor& decode_output();
 
-  void exec_linear(const exec::Step& step, StepState& s, const Tensor& in, Tensor& out);
-  void exec_conv(const exec::Step& step, StepState& s, const Tensor& in, Tensor& out);
-  void exec_bn(const exec::Step& step, StepState& s, const Tensor& in, Tensor& out);
-  void exec_gap(StepState& s, const Tensor& in, Tensor& out);
-  void exec_join(const StepState& s, const Tensor& main, const Tensor& skip, Tensor& out);
+  void exec_linear(const exec::Step& step, StepState& s, const Tensor& x);
+  void exec_conv(const exec::Step& step, StepState& s, const Tensor& x);
+  void exec_bn(const exec::Step& step, StepState& s, const Tensor& x);
+  void exec_gap(const exec::Step& step, StepState& s, const Tensor& x);
+  void exec_join(const exec::Step& step, StepState& s, const Tensor& x);
+  void exec_relu(int in, int out, const Tensor& x);
+  void exec_maxpool(const exec::Step& step, const Tensor& x);
 };
 
 // ---------------------------------------------------------------------------
 // compile
 // ---------------------------------------------------------------------------
+
+void PositSession::Impl::bind_input(Input& in, int slot, const PositSpec& to) {
+  in.from = kinds[static_cast<std::size_t>(slot)];
+  in.read = Input::Read::kStage;
+  if (in.from.codes && posit::handoff_lut_supported(in.from.spec, kEncodeRound)) {
+    const posit::HandoffLut& lut = posit::handoff_lut(in.from.spec, to, kEncodeRound);
+    in.read = lut.identity() ? Input::Read::kCodes : Input::Read::kTable;
+    in.table = lut.identity() ? nullptr : lut.data();
+  }
+}
 
 void PositSession::Impl::compile_step(const exec::Step& step, StepState& s) {
   switch (step.op) {
@@ -237,7 +367,25 @@ void PositSession::Impl::compile_step(const exec::Step& step, StepState& s) {
       break;
     case exec::OpKind::kRelu:
     case exec::OpKind::kMaxPool2x2:
-      break;
+      // Format-free: the output keeps its input's kind and spec.
+      kinds[static_cast<std::size_t>(step.out)] = kinds[static_cast<std::size_t>(step.in0)];
+      return;
+  }
+  bind_input(s.in[0], step.in0, s.spec);
+  if (step.in1 >= 0) bind_input(s.in[1], step.in1, s.spec);
+  kinds[static_cast<std::size_t>(step.out)] = {true, s.spec};
+  if (step.op == exec::OpKind::kLinear || step.op == exec::OpKind::kConv2d) {
+    const std::size_t k = step.op == exec::OpKind::kLinear
+                              ? step.in_c
+                              : step.in_c * step.kernel * (step.kernel_w != 0 ? step.kernel_w
+                                                                               : step.kernel);
+    if (detail::uses_fixed_dot(s.mode, s.spec, k) && s.spec.n <= 8) s.fixed_lut.emplace(s.spec);
+  }
+  if (step.op == exec::OpKind::kBatchNorm) {
+    // The table is indexed by the codes the step reads: the producer's, or
+    // the step's own when the input is staged.
+    const PositSpec index = s.in[0].read == Input::Read::kStage ? s.spec : s.in[0].from.spec;
+    s.bn_tabulated = index.n <= 8;
   }
 }
 
@@ -271,110 +419,271 @@ void PositSession::Impl::refresh(bool force) {
 // run
 // ---------------------------------------------------------------------------
 
+Operand PositSession::Impl::operand(int slot, Input& in, const PositSpec& to, const Tensor& x,
+                                    const Reads& reads) {
+  switch (in.read) {
+    case Input::Read::kCodes: return {code_data(slot), nullptr, to};
+    case Input::Read::kTable: return {code_data(slot), in.table, in.from.spec};
+    case Input::Read::kStage: break;
+  }
+  in.staged.resize(reads.total);
+  std::uint32_t* dst = in.staged.data();
+  if (!in.from.codes) {
+    // The network input (or a float ReLU/MaxPool of it): the one place a
+    // float is encoded, once per element per consumer.
+    const float* src = float_slot(slot, x).data();
+    for_each_read(reads, [&](std::size_t i) { dst[i] = posit::from_double(src[i], to, kEncodeRound); });
+  } else {
+    const std::uint32_t* src = code_data(slot);
+    const PositSpec from = in.from.spec;
+    for_each_read(reads, [&](std::size_t i) { dst[i] = posit::handoff(src[i], from, to, kEncodeRound); });
+  }
+  return {dst, nullptr, to};
+}
+
+const std::uint32_t* PositSession::Impl::codes_once(const Operand& a, const Reads& reads) {
+  if (a.table == nullptr) return a.codes;
+  once_codes.resize(reads.total);
+  std::uint32_t* dst = once_codes.data();
+  for_each_read(reads, [&](std::size_t i) { dst[i] = a.at(i); });
+  return dst;
+}
+
+const std::int32_t* PositSession::Impl::fixed_once(const Operand& a, const StepState& s,
+                                                   const Reads& reads) {
+  once_fixed.resize(reads.total);
+  std::int32_t* dst = once_fixed.data();
+  const detail::FixedLut* lut = s.fixed_lut ? &*s.fixed_lut : nullptr;
+  for_each_read(reads, [&](std::size_t i) {
+    dst[i] = lut != nullptr ? lut->value[a.at(i)] : detail::fixed_of(a.at(i), s.spec);
+  });
+  return dst;
+}
+
+template <typename T, typename Index>
+detail::ActPanel PositSession::Impl::gather(const T* src, std::size_t rows, std::size_t k,
+                                            Index index) {
+  // Element (r, i) of the panel is src[index(r, i)], or 0 — the code and the
+  // fixed-point value of the encoded zero padding — where that is < 0. A
+  // fixed-point panel also moves each kFixedNar marker into its row's flag.
+  // Rows are independent, so the team splits them.
+  constexpr bool kFixed = std::is_same_v<T, std::int32_t>;
+  std::vector<T>& panel = [this]() -> std::vector<T>& {
+    if constexpr (kFixed) {
+      return panel_fixed;
+    } else {
+      return panel_codes;
+    }
+  }();
+  panel.resize(rows * k);
+  if (kFixed) panel_nar.resize(rows);
+  T* dst = panel.data();
+  std::uint8_t* nar = panel_nar.data();
+#pragma omp parallel for schedule(static) if (rows > 1 && rows * k > kPositParallelMin)
+  for (std::size_t r = 0; r < rows; ++r) {
+    bool row_nar = false;
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::ptrdiff_t j = index(r, i);
+      T v = j < 0 ? T{0} : src[j];
+      if constexpr (kFixed) {
+        row_nar = row_nar || v == detail::kFixedNar;
+        if (v == detail::kFixedNar) v = 0;
+      }
+      dst[r * k + i] = v;
+    }
+    if constexpr (kFixed) nar[r] = row_nar ? 1 : 0;
+  }
+  detail::ActPanel out;
+  if constexpr (kFixed) {
+    out.fixed = dst;
+    out.nar = nar;
+  } else {
+    out.codes = dst;
+  }
+  return out;
+}
+
 const Tensor& PositSession::Impl::run_impl(const Tensor& x) {
   ensure_arena_threads();  // the caller may have grown the OpenMP team
   refresh(force_refresh);
   force_refresh = false;
+  shapes[static_cast<std::size_t>(eplan.input_slot)] = x.shape();
   for (std::size_t i = 0; i < eplan.steps.size(); ++i) {
     const exec::Step& step = eplan.steps[i];
     StepState& s = state[i];
-    const Tensor& in = slot_tensor(step.in0, x);
-    const Tensor* skip = step.in1 >= 0 ? &slot_tensor(step.in1, x) : nullptr;
-    const tensor::Shape skip_shape = skip != nullptr ? skip->shape() : tensor::Shape{};
-    const tensor::Shape out_shape = exec::infer_out_shape(
-        step, in.shape(), skip != nullptr ? &skip_shape : nullptr, "PositSession");
-    Tensor& out = slots.bind(
-        static_cast<std::size_t>(eplan.slots[static_cast<std::size_t>(step.out)].buffer),
-        out_shape);
-    switch (step.op) {
-      case exec::OpKind::kLinear: exec_linear(step, s, in, out); break;
-      case exec::OpKind::kConv2d: exec_conv(step, s, in, out); break;
-      case exec::OpKind::kBatchNorm: exec_bn(step, s, in, out); break;
-      case exec::OpKind::kRelu: exec::relu_kernel(in, out); break;
-      case exec::OpKind::kMaxPool2x2: exec::maxpool2x2_kernel(in, out); break;
-      case exec::OpKind::kGlobalAvgPool: exec_gap(s, in, out); break;
-      case exec::OpKind::kResidualJoin: exec_join(s, in, *skip, out); break;
+    const tensor::Shape* skip = step.in1 >= 0 ? &shapes[static_cast<std::size_t>(step.in1)] : nullptr;
+    const std::size_t out = static_cast<std::size_t>(step.out);
+    shapes[out] = exec::infer_out_shape(step, shapes[static_cast<std::size_t>(step.in0)], skip,
+                                        "PositSession");
+    // Size the output store before any input pointer is taken: an in-place
+    // step shares the buffer, and the resize keeps its contents.
+    if (kinds[out].codes) {
+      codes[buffer(step.out)].resize(shapes[out].numel());
+    } else {
+      floats.bind(buffer(step.out), shapes[out]);
     }
-    if (step.epilogue.relu) {
-      // The fusion pass swallowed a trailing nn::ReLU. The session's GEMM and
-      // BN kernels store decoded floats, so clamping them here is bit-for-bit
-      // what the separate kRelu step over the same buffer produced.
-      exec::relu_kernel(out, out);
+    switch (step.op) {
+      case exec::OpKind::kLinear: exec_linear(step, s, x); break;
+      case exec::OpKind::kConv2d: exec_conv(step, s, x); break;
+      case exec::OpKind::kBatchNorm: exec_bn(step, s, x); break;
+      case exec::OpKind::kRelu: exec_relu(step.in0, step.out, x); break;
+      case exec::OpKind::kMaxPool2x2: exec_maxpool(step, x); break;
+      case exec::OpKind::kGlobalAvgPool: exec_gap(step, s, x); break;
+      case exec::OpKind::kResidualJoin: exec_join(step, s, x); break;
     }
   }
-  return slots.at(static_cast<std::size_t>(
-      eplan.slots[static_cast<std::size_t>(eplan.output_slot)].buffer));
+  return decode_output();
 }
 
-void PositSession::Impl::exec_linear(const exec::Step& step, StepState& s, const Tensor& in,
-                                     Tensor& out) {
-  const std::size_t n = in.shape()[0];
-  s.act.shape = {n, step.in_c};
-  encode_pack_into(in.data(), in.numel(), s.spec, s.act);
-  detail::engine_gemm(s.act, s.weight.panel, s.bias.panel, n, step.in_c, step.out_c, s.mode,
-                      out.data(), step.out_c, 1, s.luts, pool(s));
+const Tensor& PositSession::Impl::decode_output() {
+  const std::size_t slot = static_cast<std::size_t>(eplan.output_slot);
+  if (!kinds[slot].codes) return floats.at(buffer(eplan.output_slot));
+  output.resize(shapes[slot]);
+  const PositSpec spec = kinds[slot].spec;
+  const std::uint32_t* src = code_data(eplan.output_slot);
+  float* dst = output.data();
+  for (std::size_t i = 0; i < output.numel(); ++i) {
+    dst[i] = output_nar_is_neg_inf && src[i] == spec.nar_code()
+                 ? -std::numeric_limits<float>::infinity()
+                 : static_cast<float>(posit::to_double(src[i], spec));
+  }
+  return output;
 }
 
-void PositSession::Impl::exec_conv(const exec::Step& step, StepState& s, const Tensor& in,
-                                   Tensor& out) {
-  const tensor::Conv2dGeom geom{step.in_c,   in.shape()[2], in.shape()[3], step.out_c,
-                                step.kernel, step.stride,   step.pad,      step.kernel_w};
-  const std::size_t batch = in.shape()[0];
+void PositSession::Impl::exec_linear(const exec::Step& step, StepState& s, const Tensor& x) {
+  const std::size_t n = shapes[static_cast<std::size_t>(step.in0)][0];
+  const std::size_t k = step.in_c;
+  const Reads reads = all_of(step.in0);
+  const Operand a = operand(step.in0, s.in[0], s.spec, x, reads);
+  // A [n, k] input already is row-major operand rows: the code panel is the
+  // converted input itself; only the fixed-point dot gathers (for its row
+  // NaR flags).
+  detail::ActPanel panel;
+  if (detail::uses_fixed_dot(s.mode, s.spec, k)) {
+    panel = gather(fixed_once(a, s, reads), n, k, [k](std::size_t r, std::size_t i) {
+      return static_cast<std::ptrdiff_t>(r * k + i);
+    });
+  } else {
+    panel.codes = codes_once(a, reads);
+  }
+  detail::engine_gemm(panel, s.weight.panel, s.bias.panel, n, k, step.out_c, s.mode,
+                      code_data(step.out), detail::OutLayout{n, 0, step.out_c, 1},
+                      step.epilogue.relu, s.luts, pool(s));
+}
+
+void PositSession::Impl::exec_conv(const exec::Step& step, StepState& s, const Tensor& x) {
+  const tensor::Shape& in_shape = shapes[static_cast<std::size_t>(step.in0)];
+  const tensor::Conv2dGeom geom{step.in_c,   in_shape[2], in_shape[3], step.out_c,
+                                step.kernel, step.stride, step.pad,    step.kernel_w};
+  const std::size_t batch = in_shape[0];
   const std::size_t pixels = geom.out_h() * geom.out_w();
   const std::size_t patch = geom.patch();
-  if (!step.elide_im2col) s.cols.resize({patch, pixels});
-  for (std::size_t nidx = 0; nidx < batch; ++nidx) {
-    const float* slice = in.data() + nidx * step.in_c * geom.in_h * geom.in_w;
-    const float* bmat;
-    if (step.elide_im2col) {
-      // 1x1/s1/p0: the input slice [C, H*W] IS the patch matrix — encode it
-      // straight into the activation panel, no gather.
-      bmat = slice;
-    } else {
-      tensor::im2col(slice, geom, s.cols.data());
-      bmat = s.cols.data();
+  const std::size_t image = step.in_c * geom.in_h * geom.in_w;
+  if (s.map_h != geom.in_h || s.map_w != geom.in_w) {
+    // tensor::im2col's index map, transposed so each output pixel's patch is
+    // one contiguous operand row (1x1/s1/p0 convs included: the map is then
+    // the plain transpose).
+    const std::size_t kh = geom.kh(), kw = geom.kw(), ow = geom.out_w();
+    s.gather_map.resize(pixels * patch);
+    for (std::size_t t = 0; t < pixels; ++t) {
+      for (std::size_t p = 0; p < patch; ++p) {
+        const std::size_t c = p / (kh * kw), ky = (p / kw) % kh, kx = p % kw;
+        const long iy = static_cast<long>((t / ow) * geom.stride + ky) - static_cast<long>(geom.pad);
+        const long ix = static_cast<long>((t % ow) * geom.stride + kx) - static_cast<long>(geom.pad);
+        const bool inside = iy >= 0 && iy < static_cast<long>(geom.in_h) && ix >= 0 &&
+                            ix < static_cast<long>(geom.in_w);
+        s.gather_map[t * patch + p] =
+            inside ? static_cast<std::int32_t>(c * geom.in_h * geom.in_w +
+                                               static_cast<std::size_t>(iy) * geom.in_w +
+                                               static_cast<std::size_t>(ix))
+                   : -1;
+      }
     }
-    detail::encode_conv_panel(bmat, patch, pixels, s.spec, s.act);
-    detail::engine_gemm(s.act, s.weight.panel, s.bias.panel, pixels, patch, step.out_c, s.mode,
-                        out.data() + nidx * step.out_c * pixels, 1, pixels, s.luts, pool(s));
+    std::vector<std::uint8_t> used(image, 0);
+    for (const std::int32_t m : s.gather_map) {
+      if (m >= 0) used[static_cast<std::size_t>(m)] = 1;
+    }
+    s.touched.clear();
+    if (std::count(used.begin(), used.end(), 1) < static_cast<std::ptrdiff_t>(image)) {
+      for (std::size_t o = 0; o < image; ++o) {
+        if (used[o] != 0) s.touched.push_back(static_cast<std::int32_t>(o));
+      }
+    }
+    s.map_h = geom.in_h;
+    s.map_w = geom.in_w;
   }
+  // Convert every input element the map reads once, then gather one panel
+  // row per (image, output pixel): the whole batch is one GEMM.
+  const Reads reads{batch * image, s.touched.empty() ? nullptr : &s.touched, image};
+  const Operand a = operand(step.in0, s.in[0], s.spec, x, reads);
+  const std::int32_t* map = s.gather_map.data();
+  const auto index = [=](std::size_t r, std::size_t i) {
+    const std::int32_t m = map[(r % pixels) * patch + i];
+    return m < 0 ? std::ptrdiff_t{-1} : static_cast<std::ptrdiff_t>((r / pixels) * image) + m;
+  };
+  const detail::ActPanel panel =
+      detail::uses_fixed_dot(s.mode, s.spec, patch)
+          ? gather(fixed_once(a, s, reads), batch * pixels, patch, index)
+          : gather(codes_once(a, reads), batch * pixels, patch, index);
+  detail::engine_gemm(panel, s.weight.panel, s.bias.panel, batch * pixels, patch, step.out_c,
+                      s.mode, code_data(step.out),
+                      detail::OutLayout{pixels, step.out_c * pixels, 1, pixels},
+                      step.epilogue.relu, s.luts, pool(s));
 }
 
-void PositSession::Impl::exec_bn(const exec::Step& step, StepState& s, const Tensor& in,
-                                 Tensor& out) {
+void PositSession::Impl::exec_bn(const exec::Step& step, StepState& s, const Tensor& x) {
   // Eval-mode BN as posit arithmetic: y = scale * (x - mean) + shift with
   // scale/mean/shift pre-encoded per channel.
-  (void)step;
-  const std::size_t n = in.shape()[0], c = in.shape()[1];
-  const std::size_t plane = in.shape()[2] * in.shape()[3];
+  const tensor::Shape& shape = shapes[static_cast<std::size_t>(step.in0)];
+  const std::size_t n = shape[0], c = shape[1];
+  const std::size_t plane = shape[2] * shape[3];
+  const Operand a = operand(step.in0, s.in[0], s.spec, x, all_of(step.in0));
+  std::uint32_t* out = code_data(step.out);
+  const std::uint32_t clamp = step.epilogue.relu ? s.spec.sign_bit() : 0u;
+  const auto apply = [&s, clamp](std::size_t ci, std::uint32_t xv) {
+    const std::uint32_t centered = posit::sub(xv, s.bn_mean[ci], s.spec);
+    const std::uint32_t y = s.luts.fma != nullptr
+                                ? s.luts.fma->at(centered, s.bn_scale[ci], s.bn_shift[ci])
+                                : posit::fma(centered, s.bn_scale[ci], s.bn_shift[ci], s.spec);
+    return (y & clamp) != 0 ? 0u : y;
+  };
+  const std::size_t per = s.bn_tabulated ? static_cast<std::size_t>(a.spec.code_count()) : 0;
+  if (s.bn_tabulated && s.bn_table_stale) {
+    // Every (channel, input code) entry is independent: the team splits them.
+    s.bn_table.resize(c * per);
+    std::uint32_t* table = s.bn_table.data();
+#pragma omp parallel for schedule(static)
+    for (std::size_t e = 0; e < c * per; ++e) {
+      const auto code = static_cast<std::uint32_t>(e % per);
+      table[e] = apply(e / per, a.table != nullptr ? a.table[code] : code);
+    }
+    s.bn_table_stale = false;
+  }
   // Every (image, channel) slice is independent; the team splits the
-  // collapsed slice range. out may alias in (in-place step): reads and
-  // writes share the index.
+  // collapsed slice range. out may alias the input (in-place step): reads
+  // and writes share the index.
   const bool team = n * c > 1 && n * c * plane > kPositParallelMin;
 #pragma omp parallel for schedule(static) collapse(2) if (team)
   for (std::size_t ni = 0; ni < n; ++ni) {
     for (std::size_t ci = 0; ci < c; ++ci) {
-      const std::uint32_t scale = s.bn_scale[ci];
-      const std::uint32_t mean = s.bn_mean[ci];
-      const std::uint32_t shift = s.bn_shift[ci];
-      const float* src = in.data() + (ni * c + ci) * plane;
-      float* dst = out.data() + (ni * c + ci) * plane;
-      for (std::size_t p = 0; p < plane; ++p) {
-        const std::uint32_t xv = posit::from_double(src[p], s.spec, kEncodeRound);
-        const std::uint32_t centered = posit::sub(xv, mean, s.spec);
-        const std::uint32_t scaled = s.luts.fma != nullptr
-                                         ? s.luts.fma->at(centered, scale, shift)
-                                         : posit::fma(centered, scale, shift, s.spec);
-        dst[p] = static_cast<float>(posit::to_double(scaled, s.spec));
+      const std::size_t base = (ni * c + ci) * plane;
+      if (per != 0) {
+        const std::uint32_t* table = s.bn_table.data() + ci * per;
+        for (std::size_t p = 0; p < plane; ++p) out[base + p] = table[a.codes[base + p]];
+      } else {
+        for (std::size_t p = 0; p < plane; ++p) out[base + p] = apply(ci, a.at(base + p));
       }
     }
   }
 }
 
-void PositSession::Impl::exec_gap(StepState& s, const Tensor& in, Tensor& out) {
+void PositSession::Impl::exec_gap(const exec::Step& step, StepState& s, const Tensor& x) {
   // Average = quire sum then posit division by the (exact) plane count.
-  const std::size_t n = in.shape()[0], c = in.shape()[1];
-  const std::size_t plane = in.shape()[2] * in.shape()[3];
+  const tensor::Shape& shape = shapes[static_cast<std::size_t>(step.in0)];
+  const std::size_t n = shape[0], c = shape[1];
+  const std::size_t plane = shape[2] * shape[3];
+  const Operand a = operand(step.in0, s.in[0], s.spec, x, all_of(step.in0));
+  std::uint32_t* out = code_data(step.out);
   const std::uint32_t divisor =
       posit::from_double(static_cast<double>(plane), s.spec, kEncodeRound);
   posit::Quire* quires = pool(s);
@@ -390,36 +699,81 @@ void PositSession::Impl::exec_gap(StepState& s, const Tensor& in, Tensor& out) {
     for (std::size_t ni = 0; ni < n; ++ni) {
       for (std::size_t ci = 0; ci < c; ++ci) {
         quire.clear();
-        const float* src = in.data() + (ni * c + ci) * plane;
-        for (std::size_t p = 0; p < plane; ++p) {
-          quire.add_posit(posit::from_double(src[p], s.spec, kEncodeRound));
-        }
-        const std::uint32_t sum = quire.to_posit();
-        out.at(ni, ci) =
-            static_cast<float>(posit::to_double(posit::div(sum, divisor, s.spec), s.spec));
+        const std::size_t base = (ni * c + ci) * plane;
+        for (std::size_t p = 0; p < plane; ++p) quire.add_posit(a.at(base + p));
+        out[ni * c + ci] = posit::div(quire.to_posit(), divisor, s.spec);
       }
     }
   }
 }
 
-void PositSession::Impl::exec_join(const StepState& s, const Tensor& main, const Tensor& skip,
-                                   Tensor& out) {
-  const std::size_t numel = out.numel();
-  const float* ma = main.data();
-  const float* sk = skip.data();
-  float* dst = out.data();
+void PositSession::Impl::exec_join(const exec::Step& step, StepState& s, const Tensor& x) {
+  const Operand main = operand(step.in0, s.in[0], s.spec, x, all_of(step.in0));
+  const Operand skip = operand(step.in1, s.in[1], s.spec, x, all_of(step.in1));
+  const std::size_t numel = shapes[static_cast<std::size_t>(step.out)].numel();
+  std::uint32_t* out = code_data(step.out);
+  const std::uint32_t sign = s.spec.sign_bit();
   // Join then ReLU, all in the block's format. The exact sum of two posits
   // rounded once — what a quire would accumulate — is posit::add by
   // definition, so every accumulation mode runs the rounded add, from its
   // table when the format has one (n <= 8).
 #pragma omp parallel for schedule(static) if (numel > kPositParallelMin)
   for (std::size_t i = 0; i < numel; ++i) {
-    const std::uint32_t a = posit::from_double(ma[i], s.spec, kEncodeRound);
-    const std::uint32_t b = posit::from_double(sk[i], s.spec, kEncodeRound);
+    const std::uint32_t a = main.at(i), b = skip.at(i);
     const std::uint32_t joined =
         s.luts.add != nullptr ? s.luts.add->at(a, b) : posit::add(a, b, s.spec);
-    const float v = static_cast<float>(posit::to_double(joined, s.spec));
-    dst[i] = v > 0.0f ? v : 0.0f;
+    out[i] = (joined & sign) != 0 ? 0u : joined;
+  }
+}
+
+void PositSession::Impl::exec_relu(int in, int out, const Tensor& x) {
+  const SlotKind& kind = kinds[static_cast<std::size_t>(in)];
+  if (!kind.codes) {
+    exec::relu_kernel(float_slot(in, x), floats.at(buffer(out)));
+    return;
+  }
+  // A code with the sign bit set (negative or NaR) becomes zero: the float
+  // kernel's v > 0 ? v : 0 on the decoded value, NaN included.
+  const std::size_t numel = shapes[static_cast<std::size_t>(out)].numel();
+  const std::uint32_t* src = code_data(in);
+  std::uint32_t* dst = code_data(out);
+  const std::uint32_t sign = kind.spec.sign_bit();
+#pragma omp parallel for schedule(static) if (numel > 16384)
+  for (std::size_t i = 0; i < numel; ++i) dst[i] = (src[i] & sign) != 0 ? 0u : src[i];
+}
+
+void PositSession::Impl::exec_maxpool(const exec::Step& step, const Tensor& x) {
+  const SlotKind& kind = kinds[static_cast<std::size_t>(step.in0)];
+  if (!kind.codes) {
+    exec::maxpool2x2_kernel(float_slot(step.in0, x), floats.at(buffer(step.out)));
+    return;
+  }
+  // The signed-integer max of the codes is the max of their values with NaR
+  // (the lowest code) skipped, and NaR only when the whole window is NaR —
+  // the float kernel's NaN-skipping max, read back through the next
+  // consumer's encode (its all-NaN -inf encodes to NaR too).
+  const tensor::Shape& shape = shapes[static_cast<std::size_t>(step.in0)];
+  const std::size_t planes = shape[0] * shape[1], ih = shape[2], iw = shape[3];
+  const std::size_t oh = ih / 2, ow = iw / 2;
+  const std::uint32_t* src = code_data(step.in0);
+  std::uint32_t* dst = code_data(step.out);
+  const int shift = 32 - kind.spec.n;
+  const std::uint32_t mask = kind.spec.mask();
+#pragma omp parallel for schedule(static) if (planes > 1 && planes * oh * ow > 16384)
+  for (std::size_t plane = 0; plane < planes; ++plane) {
+    const std::uint32_t* ip = src + plane * ih * iw;
+    std::uint32_t* op = dst + plane * oh * ow;
+    for (std::size_t y = 0; y < oh; ++y) {
+      for (std::size_t xo = 0; xo < ow; ++xo) {
+        std::int32_t best = std::numeric_limits<std::int32_t>::min();
+        for (std::size_t dy = 0; dy < 2; ++dy) {
+          for (std::size_t dx = 0; dx < 2; ++dx) {
+            best = std::max(best, code_order(ip[(2 * y + dy) * iw + 2 * xo + dx], shift));
+          }
+        }
+        op[y * ow + xo] = static_cast<std::uint32_t>(best) & mask;
+      }
+    }
   }
 }
 
@@ -437,17 +791,25 @@ PositSession PositSession::compile(nn::Module& net, const SessionConfig& cfg) {
   Impl& I = *session.impl_;
   I.cfg = cfg;
   I.net = &net;
-  // The session consumes the bit-identical passes (fused ReLU clamps the
-  // decoded floats it stores anyway; 1x1 elision moves no arithmetic) but
+  // The session consumes the bit-identical passes (a fused ReLU clamps the
+  // codes a step stores; 1x1 elision moves no arithmetic) but
   // declines fold_bn: its BN runs in encoded posit arithmetic, and a
   // pre-scaled float weight panel would change which values get encoded.
   exec::PlanOptions opts = exec::PlanOptions::defaults();
   opts.fold_bn = false;
   I.eplan = exec::GraphBuilder::lower(net, opts);
-  I.slots.configure(I.eplan.num_buffers);
+  I.floats.configure(I.eplan.num_buffers);
+  I.codes.resize(I.eplan.num_buffers);
+  I.kinds.assign(I.eplan.slots.size(), SlotKind{});  // the input slot stays float
+  I.shapes.resize(I.eplan.slots.size());
   I.state.resize(I.eplan.steps.size());
   for (std::size_t i = 0; i < I.eplan.steps.size(); ++i) {
-    I.compile_step(I.eplan.steps[i], I.state[i]);
+    const exec::Step& step = I.eplan.steps[i];
+    I.compile_step(step, I.state[i]);
+    if (step.out == I.eplan.output_slot) {
+      I.output_nar_is_neg_inf = step.op == exec::OpKind::kMaxPool2x2 &&
+                                I.kinds[static_cast<std::size_t>(step.in0)].codes;
+    }
   }
   I.ensure_arena_threads();
   return session;
@@ -480,9 +842,15 @@ std::size_t PositSession::panel_bytes() const {
 }
 
 std::size_t PositSession::panel_scratch_bytes() const {
-  std::size_t bytes = 0;
-  for (const StepState& s : impl_->state) {
-    bytes += s.act.packed.capacity() * sizeof(std::uint8_t) + s.cols.numel() * sizeof(float);
+  const Impl& I = *impl_;
+  std::size_t bytes =
+      I.code_arena_bytes() + (I.once_codes.capacity() + I.panel_codes.capacity()) * sizeof(std::uint32_t) +
+      (I.once_fixed.capacity() + I.panel_fixed.capacity()) * sizeof(std::int32_t) +
+      I.panel_nar.capacity();
+  for (const StepState& s : I.state) {
+    for (const Input& in : s.in) bytes += in.staged.capacity() * sizeof(std::uint32_t);
+    bytes += (s.gather_map.capacity() + s.touched.capacity() + s.bn_table.capacity()) *
+             sizeof(std::uint32_t);
   }
   return bytes;
 }

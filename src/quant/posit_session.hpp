@@ -8,41 +8,60 @@
 //   * compile() lowers the module graph through exec::GraphBuilder into the
 //     backend-neutral ExecPlan (Sequential nesting and ResidualBlock
 //     skip-connections included — the residual join rounds the exact sum
-//     of both branches once), lets exec::ArenaPlanner
-//     fold every intermediate tensor onto lifetime-shared arena buffers,
-//     then resolves each step's (PositSpec, AccumMode) from SessionConfig,
-//     pre-encodes every weight/bias/BN constant into session-owned
-//     EncodedTensor panels, resolves the n <= 8 LUT kernels, and plans
-//     per-thread quire arenas plus per-step scratch (im2col columns,
-//     activation panels).
+//     of both branches once), lets exec::ArenaPlanner fold every
+//     intermediate tensor onto lifetime-shared arena buffers, then resolves
+//     each step's (PositSpec, AccumMode) from SessionConfig, pre-encodes
+//     every weight/bias/BN constant into session-owned EncodedTensor panels,
+//     resolves the n <= 8 LUT kernels and the format hand-off tables, and
+//     plans per-thread quire arenas.
 //   * run() executes the compiled plan. In steady state (shapes repeat, no
 //     weight mutation) it performs no allocation and takes no lock: panels,
 //     arenas, and scratch are reused; Param::version mismatches — an
 //     optimizer step or checkpoint load that called Param::mark_updated() —
 //     re-encode exactly the stale panels first.
 //
+// Activations are code-resident. Every posit step leaves its output in the
+// arena as uint32_t posit codes of its own spec; a slot holds floats only
+// when it is the network input or a spec-less ReLU/MaxPool of it (decided at
+// compile time). Floats cross the boundary exactly twice: each consumer of
+// a float slot encodes it once per element in its own spec, and the output
+// slot is decoded once. A consumer reads a producer code c of another spec
+// as posit::handoff(c) = from_double(float(to_double(c))) — bit for bit a
+// float hand-off between the two steps — from a process-wide table when
+// the producer has n <= 16 (skipped when it is the identity), per element
+// for posit(32,·). Conv and linear steps convert each input element once and
+// gather operand rows with tensor::im2col's index map (padding is code 0) —
+// for the exact int64 dot straight into int32 fixed point — and hand the
+// unpacked panel to engine_gemm; weights stay packed. Eval BN on an n <= 8
+// input is one table read per element: a per-channel table of every input
+// code's output code, built across the team at the first run after its
+// constants change. ReLU (and every fused ReLU epilogue) zeroes codes with
+// the sign bit set — negative or NaR, as the float clamp zeroed NaN — and
+// MaxPool takes the signed-integer max of codes, which skips NaR.
+//
 // exec::FloatBackend executes the identical plan in FP32 — the session is
 // one of two pluggable backends over one lowering, not a parallel stack.
 //
 // Outputs are bit-identical to chaining the scalar reference layers
 // (posit_linear_reference / posit_conv2d_reference, posit BN and join
-// oracles) at every spec, accumulation mode, and thread count. A single
-// layer runs as a one-layer Sequential.
+// oracles) through float tensors at every spec, accumulation mode, and
+// thread count. A single layer runs as a one-layer Sequential.
 //
-// Threading: GEMM steps split output columns (engine_gemm.hpp). The
+// Threading: GEMM steps split output columns (engine_gemm.hpp); the operand
+// gather, input encode and format conversions split rows or elements. The
 // elementwise posit steps — eval BN and the residual join — split their
 // elements across the OpenMP team once a step holds more than 512 of them
-// (BN over the collapsed (image, channel) slices, the join over elements):
-// a posit element costs hundreds of nanoseconds, so the team pays off far
-// below the float kernels' thresholds. Each element is computed alone, so
-// the split cannot change a bit. The join is posit::add in every mode — the
-// exact sum of two posits rounded once, which is what a quire would give —
-// read from the add table for n <= 8 formats.
+// (BN over the collapsed (image, channel) slices, the join over elements).
+// Each element is computed alone, so no split can change a bit. The join is
+// posit::add in every mode — the exact sum of two posits rounded once,
+// which is what a quire would give — read from the add table for n <= 8
+// formats.
 //
-// BN constants re-encode whenever gamma/beta versions or the BN's
-// stats_version change — a training forward that only moves the running
-// statistics is caught automatically. invalidate() remains for mutations
-// that bypass every version (e.g. writing a tensor's storage directly).
+// BN constants (and tables) re-derive whenever gamma/beta versions or the
+// BN's stats_version change — a training forward or a checkpoint load that
+// only moves the running statistics is caught automatically. invalidate()
+// remains for mutations that bypass every version (e.g. writing a tensor's
+// storage directly).
 #pragma once
 
 #include <cstdint>
@@ -121,7 +140,8 @@ class PositSession {
   /// The backend-neutral lowering this session executes (step table, slot
   /// wiring, arena buffers) — ExecPlan::dump() pretty-prints it.
   const exec::ExecPlan& plan() const;
-  /// Bytes held by the slot arena (peak run shapes seen so far).
+  /// Bytes held by the slot arena — float and code buffers plus the decoded
+  /// output (peak run shapes seen so far).
   std::size_t arena_bytes() const;
   /// Top-level compiled steps (a ResidualBlock is one step).
   std::size_t steps() const;
@@ -132,15 +152,14 @@ class PositSession {
   std::uint64_t encode_count() const;
   /// Resident model footprint: packed weight/bias code payloads plus the
   /// encoded BN constant vectors — the bytes that scale with clone count and
-  /// decide how many worker backends stay cache-resident. Per-step
-  /// activation/decode scratch is deliberately excluded (it used to be
-  /// charged here, double-counting run-time scratch as model size); see
-  /// panel_scratch_bytes().
+  /// decide how many worker backends stay cache-resident. Run scratch is
+  /// deliberately excluded; see panel_scratch_bytes().
   std::size_t panel_bytes() const;
-  /// Steady-state run scratch the session owns: per-step packed activation
-  /// panels and im2col column buffers (grow-only, sized by the largest batch
-  /// seen). The engine's per-thread decode scratch is reported separately by
-  /// detail::engine_scratch_bytes().
+  /// Steady-state run scratch the session owns (grow-only, sized by the
+  /// largest batch seen): the code arena, the converted-once GEMM inputs and
+  /// gathered operand panels, staged input encodes, conv index maps and BN
+  /// tables. The engine's per-thread weight-row and Unpacked decode scratch
+  /// is not counted.
   std::size_t panel_scratch_bytes() const;
 
  private:

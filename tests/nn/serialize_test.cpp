@@ -1,13 +1,16 @@
 // serialize_test.cpp — checkpoint save/load, FP32 and posit-compressed.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "data/synthetic.hpp"
+#include "exec/float_backend.hpp"
 #include "nn/resnet.hpp"
 #include "nn/serialize.hpp"
+#include "quant/posit_session.hpp"
 #include "quant/posit_transform.hpp"
 
 namespace pdnn::nn {
@@ -85,6 +88,113 @@ void expect_bad_streams_leave_model_untouched(bool posit_format) {
   const std::vector<std::string> before = snapshot(*dst);
   load(blob);
   EXPECT_NE(snapshot(*dst), before);
+}
+
+bool bit_identical(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// Every Param::version, then every BatchNorm2d::stats_version(), in graph
+/// order.
+std::vector<std::uint64_t> versions(Sequential& net) {
+  std::vector<std::uint64_t> out;
+  for (const Param* p : net.params()) out.push_back(p->version);
+  net.visit([&out](Module& m) {
+    if (auto* bn = dynamic_cast<BatchNorm2d*>(&m)) out.push_back(bn->stats_version());
+  });
+  return out;
+}
+
+void save(std::ostream& os, Sequential& net, bool posit_format) {
+  if (posit_format) {
+    save_parameters_posit(os, net, posit::PositSpec{8, 1});
+  } else {
+    save_parameters(os, net);
+  }
+}
+
+void load(std::istream& is, Sequential& net, bool posit_format) {
+  if (posit_format) {
+    load_parameters_posit(is, net);
+  } else {
+    load_parameters(is, net);
+  }
+}
+
+/// A ResNet-8 after a few training forwards (BN running statistics moved,
+/// no optimizer step) saved and loaded into a fresh net must evaluate
+/// bit-identically — on the float plan, and on a PositSession compiled
+/// against the fresh net before the load (its BN tables must rebuild on the
+/// bumped stats_version). A stream cut inside the statistics trailer throws
+/// and leaves every version as it was.
+void expect_round_trip_keeps_eval_bits(bool posit_format) {
+  Rng rng(11);
+  ResNetConfig rc;
+  rc.base_channels = 4;
+  auto src = cifar_resnet(rc, rng);
+  auto dst = cifar_resnet(rc, rng);
+  if (posit_format) {
+    // Snap the weights onto the posit(8,1) grid first, so the compressed
+    // round trip is exact and only the statistics are under test.
+    std::stringstream snap;
+    save(snap, *src, true);
+    load(snap, *src, true);
+  }
+  for (int i = 0; i < 3; ++i) src->forward(Tensor::randn({4, 3, 8, 8}, rng), true);
+  const Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
+  const auto cfg =
+      quant::SessionConfig::from_quant(quant::QuantConfig::cifar8(), quant::AccumMode::kQuire);
+  quant::PositSession served = quant::PositSession::compile(*dst, cfg);
+  served.run(x);  // builds its BN tables from the fresh net's statistics
+
+  std::stringstream ss;
+  save(ss, *src, posit_format);
+  const std::string blob = ss.str();
+  const std::vector<std::uint64_t> before = versions(*dst);
+  for (const std::size_t cut : {std::size_t{8}, std::size_t{200}}) {
+    // The trailer's last BatchNorm record ends the stream: cut inside it.
+    std::stringstream truncated(blob.substr(0, blob.size() - cut));
+    EXPECT_THROW(load(truncated, *dst, posit_format), std::runtime_error) << "cut " << cut;
+    EXPECT_EQ(versions(*dst), before) << "cut " << cut;
+  }
+
+  load(ss, *dst, posit_format);
+  const std::vector<std::uint64_t> after = versions(*dst);
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_NE(after[i], before[i]) << "a load bumps every parameter and statistics version";
+  }
+  exec::FloatBackend float_src = exec::FloatBackend::compile(*src);
+  exec::FloatBackend float_dst = exec::FloatBackend::compile(*dst);
+  EXPECT_TRUE(bit_identical(float_src.run(x), float_dst.run(x)));
+  quant::PositSession fresh = quant::PositSession::compile(*src, cfg);
+  EXPECT_TRUE(bit_identical(served.run(x), fresh.run(x)));
+}
+
+TEST(Serialize, Fp32RoundTripKeepsBnStatisticsAndEvalBits) {
+  expect_round_trip_keeps_eval_bits(/*posit_format=*/false);
+}
+
+TEST(Serialize, PositRoundTripKeepsBnStatisticsAndEvalBits) {
+  expect_round_trip_keeps_eval_bits(/*posit_format=*/true);
+}
+
+TEST(Serialize, VersionOneStreamsAreRefusedByName) {
+  Rng rng(12);
+  auto net = mlp(2, 4, 2, 1, rng);
+  for (const bool posit_format : {false, true}) {
+    std::stringstream ss;
+    save(ss, *net, posit_format);
+    std::string blob = ss.str();
+    blob[7] = '1';  // PDNN0002 -> PDNN0001, PDNNP002 -> PDNNP001
+    std::stringstream old(blob);
+    try {
+      load(old, *net, posit_format);
+      ADD_FAILURE() << "a version 1 stream must not load";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(Serialize, Fp32RoundTripBitExact) {

@@ -216,6 +216,12 @@ TEST(PositSession, ResNetBitIdenticalToScalarOracle) {
       {{16, 1}, {16, 1}, {16, 1}, AccumMode::kQuire},
       {{8, 1}, {16, 1}, {8, 1}, AccumMode::kSerial},  // LUT-dispatched conv path
       {{8, 2}, {16, 2}, {8, 2}, AccumMode::kFma},
+      // The served formats: the int64 fixed-point dot through residual joins
+      // and (8,1) <-> (16,1) hand-offs, BN read through its per-channel table.
+      {{8, 1}, {16, 1}, {8, 1}, AccumMode::kQuire},
+      // posit(32,·) values do not all fit a float: the hand-off must keep
+      // staging each code through float, even between steps of one format.
+      {{32, 2}, {32, 2}, {32, 2}, AccumMode::kQuire},
   };
   for (const OracleFormats& f : cases) {
     PositSession session = PositSession::compile(*net, config_for(f));
@@ -225,6 +231,96 @@ TEST(PositSession, ResNetBitIdenticalToScalarOracle) {
     EXPECT_TRUE(bit_identical(got, want))
         << f.conv.to_string() << " mode " << static_cast<int>(f.mode);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Code-resident activations: NaR, float-input steps, output decode
+// ---------------------------------------------------------------------------
+
+Tensor with_non_finite(Tensor x) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  x.at(0, 0, 0, 0) = nan;  // a corner: its patches overlap the padding
+  x.at(0, 1, 3, 4) = inf;
+  x.at(1, 2, 5, 2) = -inf;
+  x.at(1, 0, 7, 7) = nan;
+  return x;
+}
+
+template <typename... Layers>
+std::unique_ptr<nn::Sequential> seq(std::unique_ptr<Layers>... layers) {
+  auto net = std::make_unique<nn::Sequential>("net");
+  (net->add(std::move(layers)), ...);
+  return net;
+}
+
+TEST(PositSession, NarFlowsThroughCodePathsLikeTheOracle) {
+  // NaN/inf inputs encode to NaR. It must travel like the float pipeline's
+  // NaN: through the conv gather (padding included) and the fixed-point dot,
+  // the BN table, the join's staged skip operand, GAP's quire and the head.
+  Rng rng(157);
+  std::vector<std::unique_ptr<nn::Sequential>> nets;
+  nets.push_back(seq(std::make_unique<nn::ResidualBlock>("res", 3, 3, 1, rng),
+                     std::make_unique<nn::GlobalAvgPool>("gap"),
+                     std::make_unique<nn::Linear>("fc", 3, 4, rng)));
+  nets.push_back(seq(std::make_unique<nn::Conv2d>("conv", 3, 4, 3, 1, 1, rng),
+                     std::make_unique<nn::BatchNorm2d>("bn", 4),
+                     std::make_unique<nn::GlobalAvgPool>("gap"),
+                     std::make_unique<nn::Linear>("fc", 4, 3, rng)));
+  const QuantConfig cfg = QuantConfig::cifar8();
+  const Tensor x = with_non_finite(Tensor::randn({2, 3, 8, 8}, rng));
+  for (auto& net : nets) {
+    net->forward(Tensor::randn({4, 3, 8, 8}, rng), true);
+    for (const AccumMode mode : mode_grid()) {
+      PositSession session = PositSession::compile(*net, SessionConfig::from_quant(cfg, mode));
+      const Tensor& got = session.run(x);
+      const OracleFormats f{cfg.conv.forward, cfg.bn.forward, cfg.linear.forward, mode};
+      EXPECT_TRUE(bit_identical(got, oracle_forward(*net, x, f))) << static_cast<int>(mode);
+      bool any_nan = false;
+      for (std::size_t i = 0; i < got.numel(); ++i) any_nan = any_nan || std::isnan(got[i]);
+      if (net == nets.back()) {
+        EXPECT_TRUE(any_nan) << "NaR must reach the head through GAP";
+      }
+    }
+  }
+}
+
+TEST(PositSession, FormatFreeFirstStepsRunOnTheFloatInput) {
+  // A net that opens with ReLU or MaxPool runs it on the caller's floats
+  // (NaN skipped by the pool, zeroed by the ReLU); the first posit step then
+  // encodes that float slot once. A net that ends in a pool over codes
+  // decodes an all-NaR window to the float kernel's -inf.
+  Rng rng(163);
+  std::vector<std::unique_ptr<nn::Sequential>> nets;
+  nets.push_back(seq(std::make_unique<nn::ReLU>("relu0"),
+                     std::make_unique<nn::Conv2d>("conv", 3, 4, 3, 1, 1, rng),
+                     std::make_unique<nn::BatchNorm2d>("bn", 4), std::make_unique<nn::ReLU>("relu1"),
+                     std::make_unique<nn::GlobalAvgPool>("gap"),
+                     std::make_unique<nn::Linear>("fc", 4, 3, rng)));
+  nets.push_back(seq(std::make_unique<nn::MaxPool2x2>("pool0"),
+                     std::make_unique<nn::Conv2d>("conv", 3, 4, 3, 1, 1, rng),
+                     std::make_unique<nn::BatchNorm2d>("bn", 4), std::make_unique<nn::ReLU>("relu1"),
+                     std::make_unique<nn::MaxPool2x2>("pool1"),
+                     std::make_unique<nn::GlobalAvgPool>("gap"),
+                     std::make_unique<nn::Linear>("fc", 4, 3, rng)));
+  nets.push_back(seq(std::make_unique<nn::Conv2d>("conv", 3, 2, 3, 1, 1, rng),
+                     std::make_unique<nn::MaxPool2x2>("pool")));
+  const Tensor x = with_non_finite(Tensor::randn({2, 3, 8, 8}, rng));
+  for (auto& net : nets) {
+    net->forward(Tensor::randn({4, 3, 8, 8}, rng), true);
+    for (const PositSpec& spec : {PositSpec{8, 1}, PositSpec{16, 1}}) {
+      for (const AccumMode mode : mode_grid()) {
+        const OracleFormats f{spec, {16, 1}, spec, mode};
+        PositSession session = PositSession::compile(*net, config_for(f));
+        EXPECT_TRUE(bit_identical(session.run(x), oracle_forward(*net, x, f)))
+            << spec.to_string() << " mode " << static_cast<int>(mode);
+      }
+    }
+  }
+  PositSession pooled = PositSession::compile(*nets.back(), SessionConfig{});
+  const Tensor& y = pooled.run(x);
+  EXPECT_EQ(y.at(0, 0, 0, 0), -std::numeric_limits<float>::infinity())
+      << "the NaN corner makes the whole first window NaR";
 }
 
 TEST(PositSession, ResNetTracksFp32Forward) {
